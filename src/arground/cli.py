@@ -34,7 +34,7 @@ from .errors import (
     NoArgumentObject,
 )
 from .generation import DEFAULT_IN_FLIGHT, GenerationRequest, backend_from_spec
-from .metrics import evaluate_corpus, metrics_report_csv
+from .metrics import error_rates, evaluate_corpus, metrics_report_csv
 from .parsing import extract_argument_map
 from .prompting import build_default_prompt, run_multistep, template_hashes
 from .sampler import (
@@ -267,6 +267,8 @@ def _cmd_evaluate(args) -> int:
         row = by_id.pop(dialogue.id, None)
         if row is None:
             raise AlignmentError(f"no prediction for dialogue '{dialogue.id}'")
+        if not isinstance(row["arguments"], dict):
+            raise AlignmentError(f"prediction '{dialogue.id}': 'arguments' must be a JSON object")
         pred_map = ArgumentMap.from_dict(row["arguments"])
         breakdown = classify_errors(pred_map, dialogue.gold_arguments, catalog[dialogue.target_api])
         pairs.append((pred_map, dialogue.gold_arguments))
@@ -320,15 +322,7 @@ def emit_error_panel(rows: list[dict], group_by: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "nk_rate", "mk_rate", "sv_rate", "hv_rate", "n_samples"])
     for label, breakdowns in groups.items():
-        total = sum(b.n_total for b in breakdowns)
-        if total > 0:
-            rates = [
-                sum(getattr(b, name) for b in breakdowns) / total
-                for name in ("n_nk", "n_mk", "n_sv", "n_hv")
-            ]
-        else:
-            rates = [0.0, 0.0, 0.0, 0.0]
-        writer.writerow([label, *rates, len(breakdowns)])
+        writer.writerow([label, *error_rates(breakdowns), len(breakdowns)])
     return buf.getvalue()
 
 

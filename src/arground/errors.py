@@ -69,6 +69,10 @@ class AlignmentError(ArgroundError):
     """Predictions and references cannot be aligned by index/id."""
 
 
+class InvalidBreakdown(ArgroundError):
+    """A serialized error breakdown lacks a count or holds a non-numeric one."""
+
+
 # --- prompting -------------------------------------------------------------
 
 class ApiMismatch(ArgroundError):

@@ -3,7 +3,8 @@
 BLEU compares whitespace tokens of the sorted canonical serializations
 (the only text both sides share), with uniform 4-gram weights, brevity
 penalty, and add-one smoothing on orders 2-4. FM is the percentage of
-gold slots whose value is fuzzy-matched by the prediction (0-100 scale).
+gold slots whose value is fuzzy-matched by the prediction (0-100 scale),
+read from the ``correct`` verdicts of ``classify_errors`` (one judgement per slot).
 F1 is micro-averaged character-multiset precision/recall over values
 aligned by exact canonical key.
 """
@@ -15,12 +16,11 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import AlignmentError, EmptyCorpus
-from .fuzzy import values_match
 from .parsing import serialize_argument_map
-from .scoring import ErrorBreakdown
+from .scoring import VERDICT_CORRECT, ErrorBreakdown
 from .schema import ArgumentMap
 
 Pair = tuple[ArgumentMap, ArgumentMap]  # (pred, gold)
@@ -39,35 +39,38 @@ class MetricsReport:
     fm_strict: float
 
 
-def _gold_slot_matches(pred: ArgumentMap, gold: ArgumentMap) -> tuple[int, int]:
-    matched = 0
-    for key, value in gold:
-        pred_value = pred.get(key)
-        if pred_value is not None and values_match(pred_value, value):
-            matched += 1
-    return matched, len(gold)
+def _matched_slots(breakdown: ErrorBreakdown) -> int:
+    """Gold slots the prediction fuzzy-matched: the sample's ``correct`` verdicts."""
+    return sum(1 for _, verdict in breakdown.per_slot_verdicts if verdict == VERDICT_CORRECT)
 
 
-def fuzzy_match_rate(pairs: Sequence[Pair]) -> float:
+def fuzzy_match_rate(breakdowns: Sequence[ErrorBreakdown]) -> float:
     """Percentage of gold slots matched by the prediction, over the corpus."""
-    if not pairs:
-        raise EmptyCorpus("fuzzy_match_rate over zero pairs")
-    matched = total = 0
-    for pred, gold in pairs:
-        m, t = _gold_slot_matches(pred, gold)
-        matched += m
-        total += t
+    if not breakdowns:
+        raise EmptyCorpus("fuzzy_match_rate over zero samples")
+    total = sum(b.n_total // 2 for b in breakdowns)
     if total == 0:
         return 100.0
-    return 100.0 * matched / total
+    return 100.0 * sum(_matched_slots(b) for b in breakdowns) / total
 
 
-def strict_match_rate(pairs: Sequence[Pair]) -> float:
+def strict_match_rate(breakdowns: Sequence[ErrorBreakdown]) -> float:
     """Dialogue-level diagnostic: percentage of samples with every gold slot matched."""
-    if not pairs:
-        raise EmptyCorpus("strict_match_rate over zero pairs")
-    hits = sum(1 for pred, gold in pairs if _gold_slot_matches(pred, gold)[0] == len(gold))
-    return 100.0 * hits / len(pairs)
+    if not breakdowns:
+        raise EmptyCorpus("strict_match_rate over zero samples")
+    hits = sum(1 for b in breakdowns if _matched_slots(b) == b.n_total // 2)
+    return 100.0 * hits / len(breakdowns)
+
+
+def error_rates(breakdowns: Sequence[ErrorBreakdown]) -> tuple[float, float, float, float]:
+    """(NK, MK, SV, HV) rates: summed counts over summed n_total, zeros when that is 0."""
+    total = sum(b.n_total for b in breakdowns)
+    if total == 0:
+        return (0.0, 0.0, 0.0, 0.0)
+    return tuple(
+        sum(getattr(b, name) for b in breakdowns) / total
+        for name in ("n_nk", "n_mk", "n_sv", "n_hv")
+    )
 
 
 def _char_stats(pred: ArgumentMap, gold: ArgumentMap) -> tuple[int, int, int]:
@@ -141,31 +144,29 @@ def corpus_bleu(pairs: Sequence[Pair]) -> float:
 
 
 def evaluate_corpus(pairs: Sequence[Pair], breakdowns: Sequence[ErrorBreakdown]) -> MetricsReport:
-    """Assemble the full report; error rates are summed counts / summed n_total."""
+    """Assemble the full report; ``breakdowns[i]`` must be ``classify_errors`` of ``pairs[i]``.
+
+    FM and strict FM are read from the breakdowns' verdicts; error rates are
+    summed counts / summed n_total.
+    """
     if len(pairs) != len(breakdowns):
-        raise AlignmentError(
-            f"{len(pairs)} pairs vs {len(breakdowns)} breakdowns"
-        )
+        raise AlignmentError(f"{len(pairs)} pairs vs {len(breakdowns)} breakdowns")
     if not pairs:
         raise EmptyCorpus("evaluate_corpus over zero pairs")
-    total = sum(b.n_total for b in breakdowns)
-    if total > 0:
-        rates = tuple(
-            sum(getattr(b, name) for b in breakdowns) / total
-            for name in ("n_nk", "n_mk", "n_sv", "n_hv")
-        )
-    else:
-        rates = (0.0, 0.0, 0.0, 0.0)
+    for index, ((_, gold), b) in enumerate(zip(pairs, breakdowns)):
+        if b.n_total != 2 * len(gold):
+            raise AlignmentError(f"breakdown {index}: n_total {b.n_total}, {len(gold)} gold slots")
+    nk_rate, mk_rate, sv_rate, hv_rate = error_rates(breakdowns)
     return MetricsReport(
         bleu=corpus_bleu(pairs),
-        fm=fuzzy_match_rate(pairs),
+        fm=fuzzy_match_rate(breakdowns),
         f1=corpus_char_f1(pairs),
         n_samples=len(pairs),
-        nk_rate=rates[0],
-        mk_rate=rates[1],
-        sv_rate=rates[2],
-        hv_rate=rates[3],
-        fm_strict=strict_match_rate(pairs),
+        nk_rate=nk_rate,
+        mk_rate=mk_rate,
+        sv_rate=sv_rate,
+        hv_rate=hv_rate,
+        fm_strict=strict_match_rate(breakdowns),
     )
 
 

@@ -10,7 +10,6 @@ arrays are rejected because the argument format is flat key->value.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 from .errors import InvalidKey, MalformedArguments, NoArgumentObject
@@ -25,7 +24,6 @@ WARN_NULL_VALUE = "dropped null value"
 WARN_EMPTY_KEY = "dropped empty key"
 WARN_DUPLICATE_KEY = "kept last duplicate key"
 
-_FENCE = re.compile(r"```[a-zA-Z0-9_+-]*")
 _NULL_TOKENS = frozenset({"null", "none"})
 
 _ESCAPES = {
@@ -214,14 +212,13 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
 def extract_argument_map(raw: str) -> ParseOutcome:
     """Locate and parse the first balanced brace region in raw model output."""
     warnings = _Warnings()
-    text = raw
-    if "```" in text:
-        text = _FENCE.sub("", text)
-        warnings.add(WARN_CODE_FENCE)
-    region = _first_balanced_region(text)
+    region = _first_balanced_region(raw)
     if region is None:
         raise NoArgumentObject("no balanced argument object in output")
-    inner = text[region[0] + 1 : region[1]]
+    open_at, close_at = region
+    if "```" in raw[:open_at] or "```" in raw[close_at + 1 :]:
+        warnings.add(WARN_CODE_FENCE)
+    inner = raw[open_at + 1 : close_at]
     raw_pairs = _parse_object_body(inner, warnings)
 
     entries: dict[str, str] = {}

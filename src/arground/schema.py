@@ -13,7 +13,6 @@ object per line.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from dataclasses import dataclass, field

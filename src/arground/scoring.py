@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GoldSchemaMismatch
+from .errors import GoldSchemaMismatch, InvalidBreakdown
 from .fuzzy import values_match
 from .schema import ApiSchema, ArgumentMap, value_conforms_to_slot
 
@@ -59,17 +59,21 @@ class ErrorBreakdown:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ErrorBreakdown":
-        counts = (int(obj["n_nk"]), int(obj["n_mk"]), int(obj["n_sv"]), int(obj["n_hv"]))
-        return cls(
-            n_nk=counts[0],
-            n_mk=counts[1],
-            n_sv=counts[2],
-            n_hv=counts[3],
-            n_total=int(obj["n_total"]),
-            n_error=sum(counts),
-            reward=float(obj["reward"]),
-            per_slot_verdicts=tuple((k, v) for k, v in obj.get("verdicts", [])),
-        )
+        """Inverse of :meth:`to_obj`; raises InvalidBreakdown on a missing or bad field."""
+        try:
+            counts = (int(obj["n_nk"]), int(obj["n_mk"]), int(obj["n_sv"]), int(obj["n_hv"]))
+            return cls(
+                n_nk=counts[0],
+                n_mk=counts[1],
+                n_sv=counts[2],
+                n_hv=counts[3],
+                n_total=int(obj["n_total"]),
+                n_error=sum(counts),
+                reward=float(obj["reward"]),
+                per_slot_verdicts=tuple((k, v) for k, v in obj.get("verdicts", [])),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidBreakdown(f"malformed breakdown: {type(exc).__name__} {exc}") from exc
 
 
 def reward_value(n_error: int, n_total: int) -> float:

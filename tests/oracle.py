@@ -132,6 +132,38 @@ def ref_breakdown(pred_pairs, gold_pairs, slots) -> dict:
     }
 
 
+# --- fuzzy-match rates -----------------------------------------------------------
+
+def _ref_matched_gold_slots(pred_pairs, gold_pairs) -> int:
+    predicted = dict(pred_pairs)
+    hits = 0
+    for key, gold_value in gold_pairs:
+        if key in predicted and ref_values_match(predicted[key], gold_value):
+            hits += 1
+    return hits
+
+
+def ref_fuzzy_match_rate(samples) -> float:
+    """Percentage of gold slots, over the corpus, whose predicted value
+    fuzzy-matches; 100 when the corpus has no gold slot.
+
+    samples: list of (pred_pairs, gold_pairs), canonical (key, value) lists.
+    """
+    assert samples, "FM over an empty corpus"
+    gold_slots = sum(len(gold_pairs) for _, gold_pairs in samples)
+    if gold_slots == 0:
+        return 100.0
+    hits = sum(_ref_matched_gold_slots(p, g) for p, g in samples)
+    return 100.0 * hits / gold_slots
+
+
+def ref_strict_match_rate(samples) -> float:
+    """Percentage of samples whose every gold slot is fuzzy-matched."""
+    assert samples, "strict FM over an empty corpus"
+    whole = [1 for p, g in samples if _ref_matched_gold_slots(p, g) == len(g)]
+    return 100.0 * len(whole) / len(samples)
+
+
 # --- reference corpus BLEU ------------------------------------------------------
 
 def _grams(tokens, n):

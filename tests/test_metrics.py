@@ -19,7 +19,7 @@ from arground.parsing import serialize_argument_map
 from arground.schema import ApiSchema, ArgumentMap, SlotSpec
 from arground.scoring import classify_errors
 
-from oracle import ref_corpus_bleu
+from oracle import ref_corpus_bleu, ref_fuzzy_match_rate, ref_strict_match_rate
 
 
 def amap(*pairs):
@@ -32,28 +32,28 @@ GOLD2 = amap(("name", "john"), ("time", "3pm"))
 class TestFuzzyMatchRate:
     def test_identity_corpus(self):
         pairs = [(GOLD2, GOLD2)] * 3
-        assert fuzzy_match_rate(pairs) == 100.0
+        assert fuzzy_match_rate(breakdowns_for(pairs)) == 100.0
 
     def test_all_empty_predictions(self):
         pairs = [(amap(), GOLD2)] * 3
-        assert fuzzy_match_rate(pairs) == 0.0
+        assert fuzzy_match_rate(breakdowns_for(pairs)) == 0.0
 
     def test_half_matched(self):
         pairs = [(amap(("name", "john")), GOLD2)]
-        assert fuzzy_match_rate(pairs) == 50.0
+        assert fuzzy_match_rate(breakdowns_for(pairs)) == 50.0
 
     def test_typos_tolerated(self):
         pred = amap(("name", "cristopher"))
         gold = amap(("name", "christopher"))
-        assert fuzzy_match_rate([(pred, gold)]) == 100.0
+        assert fuzzy_match_rate(breakdowns_for([(pred, gold)])) == 100.0
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            fuzzy_match_rate([])
+            fuzzy_match_rate(breakdowns_for([]))
 
     def test_strict_variant(self):
         pairs = [(GOLD2, GOLD2), (amap(("name", "john")), GOLD2)]
-        assert strict_match_rate(pairs) == 50.0
+        assert strict_match_rate(breakdowns_for(pairs)) == 50.0
 
 
 class TestCharF1:
@@ -171,6 +171,12 @@ class TestEvaluateCorpus:
         with pytest.raises(AlignmentError):
             evaluate_corpus(pairs, [])
 
+    def test_mismatched_breakdown(self):
+        pairs = [(GOLD2, GOLD2), (amap(("name", "john")), amap(("name", "john")))]
+        swapped = list(reversed(breakdowns_for(pairs)))
+        with pytest.raises(AlignmentError):
+            evaluate_corpus(pairs, swapped)
+
     def test_rates_reconstruct_error_sum(self):
         pairs = [
             (amap(("name", "jeff"), ("zz", "x")), GOLD2),
@@ -206,7 +212,7 @@ def test_key_reordering_invariance(rng):
     gold = ArgumentMap(tuple(entries))
     pairs_a = [(pred, gold)]
     pairs_b = [(ArgumentMap(tuple(sorted(pred.entries))), ArgumentMap(tuple(sorted(gold.entries))))]
-    assert fuzzy_match_rate(pairs_a) == fuzzy_match_rate(pairs_b)
+    assert fuzzy_match_rate(breakdowns_for(pairs_a)) == fuzzy_match_rate(breakdowns_for(pairs_b))
     assert corpus_char_f1(pairs_a) == corpus_char_f1(pairs_b)
 
 
@@ -216,5 +222,23 @@ def test_typo_moves_f1_but_not_fm(position):
     typo = gold_value[:position] + "q" + gold_value[position + 1 :]
     pred = amap(("name", typo))
     gold = amap(("name", gold_value))
-    assert fuzzy_match_rate([(pred, gold)]) == 100.0
+    assert fuzzy_match_rate(breakdowns_for([(pred, gold)])) == 100.0
     assert char_f1(pred, gold) < 1.0
+
+
+_VALUES = ["john", "jon", "johnny", "3pm", "4pm", "deep dish pizza", "deep dish pizzas", "purple"]
+
+
+def _maps(keys):
+    return st.dictionaries(st.sampled_from(keys), st.sampled_from(_VALUES), max_size=len(keys)).map(
+        lambda d: ArgumentMap(tuple(d.items()))
+    )
+
+
+@given(st.lists(st.tuples(_maps(["name", "time", "x", "zz"]), _maps(["name", "time", "x"])), min_size=1, max_size=6))
+@settings(max_examples=150)
+def test_fm_agrees_with_oracle(pairs):
+    report = evaluate_corpus(pairs, breakdowns_for(pairs))
+    samples = [(list(pred.entries), list(gold.entries)) for pred, gold in pairs]
+    assert report.fm == pytest.approx(ref_fuzzy_match_rate(samples), abs=1e-9)
+    assert report.fm_strict == pytest.approx(ref_strict_match_rate(samples), abs=1e-9)

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arground.errors import InvalidKey, MalformedArguments, NoArgumentObject
@@ -80,6 +80,12 @@ def test_code_fence_stripped():
     assert WARN_CODE_FENCE in outcome.warnings
 
 
+def test_code_fence_inside_quoted_value_kept():
+    outcome = extract_argument_map('{"note": "use ```python here"}')
+    assert outcome.map.as_dict() == {"note": "use ```python here"}
+    assert outcome.warnings == ()
+
+
 def test_first_region_wins():
     outcome = extract_argument_map('{"a": "1"} then {"b": "2"}')
     assert outcome.map.as_dict() == {"a": "1"}
@@ -148,6 +154,7 @@ def argument_maps():
 
 
 @given(argument_maps())
+@example(ArgumentMap((("note", "x ``` y"),)))
 @settings(max_examples=200)
 def test_round_trip(amap):
     outcome = extract_argument_map(serialize_argument_map(amap, "given"))
