@@ -33,12 +33,13 @@ from .errors import (
     MalformedArguments,
     NoArgumentObject,
 )
-from .generation import DEFAULT_IN_FLIGHT, GenerationRequest, backend_from_spec
+from .generation import DEFAULT_IN_FLIGHT, GenerationRequest, MockBackend, backend_from_spec
 from .metrics import error_rates, evaluate_corpus, metrics_report_csv
 from .parsing import extract_argument_map
 from .prompting import build_default_prompt, run_multistep, template_hashes
 from .sampler import (
     SamplerConfig,
+    _bounded_map,
     dump_training_examples,
     export_sft_dataset,
     rejection_sample,
@@ -125,6 +126,12 @@ def _dump_jsonl(rows: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _in_flight(args, backend) -> int:
+    """A mock backend's script is positional, so its requests go out one at a
+    time: concurrent dispatch would hand outputs to the wrong dialogues."""
+    return 1 if isinstance(backend, MockBackend) else args.in_flight
+
+
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_export_sft(args) -> int:
@@ -150,7 +157,7 @@ def _cmd_reject_sample(args) -> int:
         k=args.k,
         temperature=args.temperature,
         max_tokens=args.max_tokens,
-        in_flight=args.in_flight,
+        in_flight=_in_flight(args, backend),
         strict=args.strict,
     )
     augmented, stats = rejection_sample(backend, dialogues, catalog, config)
@@ -221,14 +228,7 @@ def _cmd_fill(args) -> int:
             "warnings": warnings,
         }
 
-    if args.in_flight > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.in_flight) as pool:
-            rows = list(pool.map(fill_one, dialogues))
-    else:
-        rows = [fill_one(d) for d in dialogues]
-
+    rows = _bounded_map(fill_one, dialogues, _in_flight(args, backend))
     _atomic_write(args.out, _dump_jsonl(rows))
     _write_metadata(
         args.out,

@@ -133,8 +133,8 @@ class GenerationBackend:
 class MockBackend(GenerationBackend):
     """Pops scripted outputs in order; raises when the script runs dry.
 
-    The queue is positional, so run mock-backed pipelines with an in-flight
-    bound of 1 when reproducibility matters.
+    The queue is positional, so the CLI sends a mock backend's requests one
+    at a time, whatever its in-flight bound.
     """
 
     backend_id = "mock"

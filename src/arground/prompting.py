@@ -12,6 +12,7 @@ hash-pinned into run metadata so experiments stay reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 from dataclasses import dataclass
@@ -57,7 +58,9 @@ class PromptBundle:
             raise ValueError("prompt text is empty")
 
 
+@functools.cache
 def load_template(name: str) -> str:
+    """The shipped template's text, read from the package once per name."""
     return (resources.files("arground") / "templates" / name).read_text(encoding="utf-8")
 
 

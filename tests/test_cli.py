@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -8,6 +9,8 @@ from arground.cli import EXIT_DATA, EXIT_OK, emit_error_panel, main
 from arground.metrics import evaluate_corpus
 from arground.schema import ArgumentMap, dump_dialogues, dump_schema_catalog
 from arground.scoring import classify_errors
+
+from conftest import make_dialogue
 
 
 def _write_jsonl(path, rows):
@@ -76,3 +79,34 @@ def test_single_group_panel_matches_evaluate_corpus(hair_schema):
     assert got == (report.nk_rate, report.mk_rate, report.sv_rate, report.hv_rate)
     assert got != (0.0, 0.0, 0.0, 0.0)
     assert panel["n_samples"] == "3"
+
+
+def test_mock_fill_is_deterministic_at_any_in_flight(tmp_path, hair_catalog):
+    dialogues = [
+        make_dialogue(f"d{i:02d}", "salon", "hair_appointment", {"name": f"person {i}"})
+        for i in range(40)
+    ]
+    (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    (tmp_path / "dialogues.jsonl").write_text(dump_dialogues(dialogues), encoding="utf-8")
+    _write_jsonl(tmp_path / "script.jsonl", [f'{{"name": "person {i}"}}' for i in range(40)])
+
+    def fill(in_flight, name):
+        out = tmp_path / name
+        argv = ["fill", "--dialogues", str(tmp_path / "dialogues.jsonl"),
+                "--schemas", str(tmp_path / "catalog.json"),
+                "--backend", f"mock:{tmp_path / 'script.jsonl'}",
+                "--in-flight", str(in_flight), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        return out.read_bytes()
+
+    serial = fill(1, "serial.jsonl")
+    assert [json.loads(line)["arguments"] for line in serial.splitlines()] == [
+        {"name": f"person {i}"} for i in range(40)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [fill(4, f"run{i}.jsonl") for i in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [serial] * 3

@@ -1,12 +1,17 @@
+import hashlib
 import re
+from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
+from arground import prompting
 from arground.errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
 from arground.generation import MockBackend
 from arground.prompting import (
     build_default_prompt,
     build_slot_prompt,
+    load_template,
     parse_slot_response,
     run_multistep,
     template_hashes,
@@ -144,3 +149,24 @@ def test_template_hashes_stable():
     assert first == second
     assert set(first) == {"version", "default", "slot"}
     assert re.fullmatch(r"[0-9a-f]{64}", first["default"])
+    for name in ("default", "slot"):
+        text = (resources.files("arground") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
+        assert first[name] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_template_read_once(monkeypatch, hair_schema, hair_dialogue):
+    reads = []
+
+    def files(package):
+        reads.append(package)
+        return resources.files(package)
+
+    load_template.cache_clear()
+    monkeypatch.setattr(prompting, "resources", SimpleNamespace(files=files))
+    try:
+        first = build_default_prompt(hair_schema, hair_dialogue)
+        second = build_default_prompt(hair_schema, hair_dialogue)
+    finally:
+        load_template.cache_clear()
+    assert first == second
+    assert len(reads) == 1

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arground.errors import GoldSchemaMismatch
@@ -9,7 +9,7 @@ from arground.fuzzy import levenshtein, similarity, values_match
 from arground.schema import ApiSchema, ArgumentMap, SlotSpec
 from arground.scoring import ErrorBreakdown, classify_errors, reward_of, reward_value
 
-from oracle import edit_distance, ref_breakdown
+from oracle import edit_distance, ref_breakdown, ref_values_match
 
 
 def amap(*pairs):
@@ -44,6 +44,95 @@ class TestValuesMatch:
     @given(st.text(max_size=12))
     def test_self_similarity(self, a):
         assert similarity(a, a) == 1.0
+
+
+# --- levenshtein / values_match against the oracle on longer strings ----------
+
+SMALL_ALPHABET = "ab c"
+NON_BMP_ALPHABET = "a\u00e9\U0001f600\U00010348\U0001d11e"
+
+
+@st.composite
+def near_miss_pairs(draw, alphabet=SMALL_ALPHABET, max_size=300):
+    """A base string and a copy with a few random inserts, deletes and substitutions."""
+    size = draw(st.integers(0, max_size))
+    base = draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+    edits = st.tuples(st.sampled_from("ids"), st.integers(0, max_size), st.sampled_from(alphabet))
+    chars = list(base)
+    for op, pos, char in draw(st.lists(edits, max_size=max(1, len(base) // 4))):
+        pos %= len(chars) + 1
+        if op == "i":
+            chars.insert(pos, char)
+        elif pos < len(chars):
+            if op == "d":
+                del chars[pos]
+            else:
+                chars[pos] = char
+    return base, "".join(chars)
+
+
+@st.composite
+def shared_affix_pairs(draw):
+    affix = st.text(alphabet=SMALL_ALPHABET, max_size=120)
+    middle = st.text(alphabet=SMALL_ALPHABET, max_size=20)
+    prefix, suffix = draw(affix), draw(affix)
+    return prefix + draw(middle) + suffix, prefix + draw(middle) + suffix
+
+
+@st.composite
+def boundary_gap_pairs(draw):
+    """Pairs whose length gap is 15% of the longer string, or one char either side."""
+    k = draw(st.integers(1, 15))
+    gold = draw(st.text(alphabet=SMALL_ALPHABET, min_size=20 * k, max_size=20 * k))
+    gap = 3 * k + draw(st.sampled_from((-1, 0, 1)))
+    cut = draw(st.integers(0, len(gold) - gap))
+    chars = list(gold[:cut] + gold[cut + gap :])
+    for pos in draw(st.lists(st.integers(0, len(chars) - 1), max_size=2)):
+        chars[pos] = "b" if chars[pos] == "a" else "a"
+    pred = "".join(chars)
+    return (pred, gold) if draw(st.booleans()) else (gold, pred)
+
+
+def _agrees_with_oracle(pair):
+    a, b = pair
+    assert levenshtein(a, b) == edit_distance(a, b)
+    assert values_match(a, b) == ref_values_match(a, b)
+    assert values_match(b, a) == values_match(a, b)
+
+
+@given(near_miss_pairs())
+@settings(max_examples=40, deadline=None)
+def test_near_miss_pairs_agree_with_oracle(pair):
+    _agrees_with_oracle(pair)
+
+
+@given(shared_affix_pairs())
+@settings(deadline=None)
+def test_shared_prefix_and_suffix_agree_with_oracle(pair):
+    _agrees_with_oracle(pair)
+
+
+@given(near_miss_pairs(alphabet=NON_BMP_ALPHABET, max_size=60))
+@settings(deadline=None)
+def test_non_bmp_pairs_agree_with_oracle(pair):
+    _agrees_with_oracle(pair)
+
+
+@given(boundary_gap_pairs())
+@settings(max_examples=40, deadline=None)
+@example(("a" * 17, "a" * 20))
+@example(("a" * 16 + "b", "a" * 20))
+def test_length_gap_at_threshold_agrees_with_oracle(pair):
+    _agrees_with_oracle(pair)
+
+
+@given(near_miss_pairs(max_size=80), st.floats(0.0, 1.0))
+@settings(deadline=None)
+def test_custom_threshold_agrees_with_definition(pair, threshold):
+    a, b = pair
+    longest = max(len(a), len(b))
+    expected = longest == 0 or 1.0 - edit_distance(a, b) / longest >= threshold
+    assert values_match(a, b, threshold) == expected
 
 
 class TestClassifyErrors:
