@@ -18,9 +18,9 @@ from .schema import (
     load_schema_catalog,
     value_conforms_to_slot,
 )
-from .scoring import ErrorBreakdown, classify_errors, reward_of, reward_value
+from .scoring import ErrorBreakdown, classify_errors, reward_value
 from .sampler import SamplerConfig, TrainingExample, export_sft_dataset, rejection_sample
-from .splits import ingest_external, split_in_domain, split_out_of_domain
+from .splits import split_in_domain, split_out_of_domain
 
 __all__ = [
     "ApiSchema",
@@ -45,11 +45,9 @@ __all__ = [
     "export_sft_dataset",
     "extract_argument_map",
     "fuzzy_match_rate",
-    "ingest_external",
     "load_dialogues",
     "load_schema_catalog",
     "rejection_sample",
-    "reward_of",
     "reward_value",
     "run_multistep",
     "serialize_argument_map",

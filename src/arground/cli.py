@@ -30,19 +30,17 @@ from .errors import (
     BackendError,
     EmptyCorpus,
     LogCorrupt,
-    MalformedArguments,
-    NoArgumentObject,
 )
-from .generation import DEFAULT_IN_FLIGHT, GenerationRequest, MockBackend, backend_from_spec
+from .generation import DEFAULT_IN_FLIGHT, MockBackend, backend_from_spec
 from .metrics import error_rates, evaluate_corpus, metrics_report_csv
-from .parsing import extract_argument_map
-from .prompting import build_default_prompt, run_multistep, template_hashes
+from .prompting import run_multistep, template_hashes
 from .sampler import (
     SamplerConfig,
     _bounded_map,
     dump_training_examples,
     export_sft_dataset,
     rejection_sample,
+    request_default,
 )
 from .schema import ArgumentMap, dump_dialogues, load_dialogues, load_schema_catalog
 from .scoring import ErrorBreakdown, classify_errors
@@ -115,9 +113,12 @@ def _jsonl_rows(path) -> list[dict]:
         if not line:
             continue
         try:
-            rows.append(json.loads(line))
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ArgroundError(f"{path}: line {lineno} is not valid JSON: {exc.msg}")
+        if not isinstance(row, dict):
+            raise ArgroundError(f"{path}: line {lineno} is not a JSON object")
+        rows.append(row)
     return rows
 
 
@@ -181,28 +182,6 @@ def _cmd_reject_sample(args) -> int:
     return EXIT_OK
 
 
-def _fill_one_default(backend, schema, dialogue, temperature, max_tokens):
-    prompt = build_default_prompt(schema, dialogue).text
-    record = backend.generate(
-        GenerationRequest(
-            prompt=prompt,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            n_samples=1,
-            tag=dialogue.id,
-        )
-    )
-    warnings: list[str] = []
-    try:
-        outcome = extract_argument_map(record.outputs[0])
-        arguments = outcome.map
-        warnings.extend(outcome.warnings)
-    except (NoArgumentObject, MalformedArguments) as exc:
-        arguments = ArgumentMap()
-        warnings.append(f"unparseable output: {type(exc).__name__}")
-    return arguments, warnings
-
-
 def _cmd_fill(args) -> int:
     catalog = load_schema_catalog(args.schemas)
     dialogues = load_dialogues(args.dialogues, catalog)
@@ -216,9 +195,13 @@ def _cmd_fill(args) -> int:
             )
             warnings: list[str] = []
         else:
-            arguments, warnings = _fill_one_default(
-                backend, schema, dialogue, args.temperature, args.max_tokens
+            _, (outcome,) = request_default(
+                backend, schema, dialogue, 1, args.temperature, args.max_tokens
             )
+            if isinstance(outcome, str):
+                arguments, warnings = ArgumentMap(), [f"unparseable output: {outcome}"]
+            else:
+                arguments, warnings = outcome.map, list(outcome.warnings)
         return {
             "id": dialogue.id,
             "target_api": dialogue.target_api,
@@ -256,6 +239,8 @@ def _cmd_evaluate(args) -> int:
     for row in pred_rows:
         if "id" not in row or "arguments" not in row:
             raise AlignmentError("prediction rows need 'id' and 'arguments' fields")
+        if not isinstance(row["id"], str) or not isinstance(row.get("model", ""), str):
+            raise AlignmentError(f"prediction {row['id']!r}: 'id' and 'model' must be strings")
         if row["id"] in by_id:
             raise AlignmentError(f"duplicate prediction id '{row['id']}'")
         by_id[row["id"]] = row
@@ -339,9 +324,22 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _load_synonyms(path) -> dict[str, str]:
+    try:
+        synonyms = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ArgroundError(f"{path}: not valid JSON: {exc.msg}")
+    if not isinstance(synonyms, dict) or not all(isinstance(v, str) for v in synonyms.values()):
+        raise ArgroundError(f"{path}: synonyms must be a JSON object mapping domain to domain")
+    return synonyms
+
+
 def _cmd_split(args) -> int:
     catalog = load_schema_catalog(args.schemas) if args.schemas else None
     dialogues = load_dialogues(args.dialogues, catalog)
+    inputs = {"dialogues": args.dialogues}
+    if args.schemas:
+        inputs["schemas"] = args.schemas
     if args.split_kind == "in-domain":
         train, test = split_in_domain(dialogues, args.fraction, args.seed)
         manifest = build_split_manifest(
@@ -352,7 +350,8 @@ def _cmd_split(args) -> int:
         holdout = [h for h in (s.strip() for s in args.holdout.split(",")) if h]
         synonyms = None
         if args.synonyms:
-            synonyms = json.loads(Path(args.synonyms).read_text(encoding="utf-8"))
+            synonyms = _load_synonyms(args.synonyms)
+            inputs["synonyms"] = args.synonyms
         train, test = split_out_of_domain(dialogues, holdout, synonyms)
         manifest = build_split_manifest(
             "out-of-domain", train, test, holdout_domains=holdout, synonym_map=synonyms
@@ -363,11 +362,6 @@ def _cmd_split(args) -> int:
     _atomic_write(args.out_test, dump_dialogues(test))
     manifest_path = args.manifest or str(Path(args.out_train).parent / "split_manifest.json")
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
-    inputs = {"dialogues": args.dialogues}
-    if args.schemas:
-        inputs["schemas"] = args.schemas
-    if args.synonyms:
-        inputs["synonyms"] = args.synonyms
     _write_metadata(args.out_train, f"split {args.split_kind}", config, inputs, None)
     return EXIT_OK
 

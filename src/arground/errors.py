@@ -125,7 +125,3 @@ class DegenerateSplit(ArgroundError):
 
 class UnknownDomain(ArgroundError):
     """Holdout domain not present in the data or the synonym map."""
-
-
-class IngestError(ArgroundError):
-    """External dump does not match the expected distribution layout."""

@@ -1,19 +1,26 @@
 """Uniform interface to text-generation backends.
 
-Four backends share one ``generate(request) -> GenerationRecord`` surface:
+Three backends share one ``generate(request) -> GenerationRecord`` surface:
 
 * ``HttpBackend``   - chat-completion wire format over HTTPS, with retry,
                       exponential backoff, and a per-request timeout.
 * ``MockBackend``   - deterministic scripted queue, for tests and demos.
-* ``ReplayBackend`` - serves recorded outputs keyed by request content
-                      hash; any pipeline run on replay is a pure function
-                      of its inputs.
-* ``RecordBackend`` - wraps another backend and appends every record to a
-                      JSONL log (single-writer, lock-serialized).
+* ``ReplayBackend`` - the response store: a JSONL record log indexed by
+                      request content hash, first record per key wins.
+
+``replay:<log>`` serves the log read-only; a miss raises ``ReplayMiss``, so
+any pipeline run on replay is a pure function of its inputs.
+``record:<log>`` puts the store in front of the live backend: only records
+whose ``backend_id`` is that backend's are served, a missing log is an
+empty store, and a miss calls the backend and appends the record under a
+lock. Concurrent misses on one key all get the record stored first, so a
+record run returns exactly what a later replay of its log returns, and
+rerunning a crashed ``fill`` or ``reject-sample`` on its log resumes it
+without repeating a call.
 
 Requests are keyed by a hash of (prompt, temperature, n_samples,
-max_tokens), not by sequence number, so replay tolerates request
-reordering under concurrency.
+max_tokens, stop_sequences), not by sequence number, so replay tolerates
+request reordering under concurrency. The tag is not part of the key.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import AuthError, BackendError, LogCorrupt, ReplayMiss
@@ -71,13 +78,14 @@ class GenerationRecord:
 
 
 def request_key(request: GenerationRequest) -> str:
-    """Content hash used to index record logs (stop/tag intentionally excluded)."""
+    """Content hash used to index record logs (the tag is excluded)."""
     payload = json.dumps(
         {
             "prompt": request.prompt,
             "temperature": request.temperature,
             "n_samples": request.n_samples,
             "max_tokens": request.max_tokens,
+            "stop_sequences": list(request.stop_sequences),
         },
         sort_keys=True,
         ensure_ascii=False,
@@ -112,9 +120,12 @@ def record_from_obj(obj: dict) -> GenerationRecord:
         stop_sequences=tuple(req.get("stop_sequences", ())),
         tag=req.get("tag", ""),
     )
+    outputs = obj["outputs"]
+    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+        raise TypeError("'outputs' must be a list of strings")
     return GenerationRecord(
         request=request,
-        outputs=tuple(obj["outputs"]),
+        outputs=tuple(outputs),
         backend_id=obj.get("backend_id", "unknown"),
         timestamp=float(obj.get("timestamp", 0.0)),
         latency=float(obj.get("latency", 0.0)),
@@ -158,10 +169,6 @@ class MockBackend(GenerationBackend):
                 raise BackendError(f"mock script line {lineno} must be a JSON string")
             outputs.append(value)
         return cls(outputs)
-
-    def remaining(self) -> int:
-        with self._lock:
-            return len(self._outputs)
 
     def generate(self, request: GenerationRequest) -> GenerationRecord:
         start = time.monotonic()
@@ -281,18 +288,35 @@ class HttpBackend(GenerationBackend):
 
 
 class ReplayBackend(GenerationBackend):
-    """Serves outputs purely from a record log; read-only and freely concurrent."""
+    """Response store over a record log; with an ``inner`` backend a miss
+    records through to the log, without one it raises ``ReplayMiss``."""
 
     backend_id = "replay"
 
-    def __init__(self, index: dict[str, tuple[str, ...]]):
+    def __init__(
+        self, index: dict[str, tuple[str, ...]], inner: GenerationBackend | None = None, path=None
+    ):
         self._index = index
+        self._inner = inner
+        self._path = path
+        self._lock = threading.Lock()
+        if inner is not None:
+            self.backend_id = inner.backend_id
 
     def generate(self, request: GenerationRequest) -> GenerationRecord:
         key = request_key(request)
         outputs = self._index.get(key)
         if outputs is None:
-            raise ReplayMiss(f"no recorded response for request {key[:12]}... (tag={request.tag!r})")
+            if self._inner is None:
+                raise ReplayMiss(f"no recorded response for request {key[:12]}... (tag={request.tag!r})")
+            record = self._inner.generate(request)
+            line = json.dumps(record_to_obj(record), ensure_ascii=False)
+            with self._lock:
+                outputs = self._index.get(key)
+                if outputs is None:  # a racing duplicate keeps the first record
+                    outputs = self._index[key] = record.outputs
+                    with open(self._path, "a", encoding="utf-8") as handle:
+                        handle.write(line + "\n")
         if len(outputs) < request.n_samples:
             raise ReplayMiss(
                 f"recorded response for {key[:12]}... has {len(outputs)} outputs, "
@@ -305,9 +329,15 @@ class ReplayBackend(GenerationBackend):
         )
 
 
-def open_replay(path) -> ReplayBackend:
-    """Index a record log by request content hash; first record wins per key."""
+def open_replay(path, inner: GenerationBackend | None = None) -> ReplayBackend:
+    """Index a record log by request content hash; first record wins per key.
+
+    With ``inner``, a missing log is an empty store and only records made by
+    ``inner.backend_id`` are indexed.
+    """
     index: dict[str, tuple[str, ...]] = {}
+    if inner is not None and not os.path.exists(path):
+        return ReplayBackend(index, inner, path)
     offset = 0
     with open(path, "rb") as handle:
         for raw_line in handle:
@@ -317,37 +347,16 @@ def open_replay(path) -> ReplayBackend:
                     record = record_from_obj(json.loads(line.decode("utf-8")))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise LogCorrupt(f"unreadable record log entry: {exc}", offset=offset)
-                index.setdefault(request_key(record.request), record.outputs)
+                if inner is None or record.backend_id == inner.backend_id:
+                    index.setdefault(request_key(record.request), record.outputs)
             offset += len(raw_line)
-    return ReplayBackend(index)
-
-
-class RecordBackend(GenerationBackend):
-    """Wraps a backend and appends every successful record to a JSONL sink."""
-
-    def __init__(self, inner: GenerationBackend, path):
-        self._inner = inner
-        self._path = Path(path)
-        self._lock = threading.Lock()
-        self.backend_id = inner.backend_id
-
-    def generate(self, request: GenerationRequest) -> GenerationRecord:
-        record = self._inner.generate(request)
-        line = json.dumps(record_to_obj(record), ensure_ascii=False)
-        with self._lock:
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-        return record
-
-
-def record_session(path, inner: GenerationBackend) -> RecordBackend:
-    return RecordBackend(inner, path)
+    return ReplayBackend(index, inner, path)
 
 
 def backend_from_spec(spec: str) -> GenerationBackend:
     """Build a backend from ``http:<profile>``, ``mock:<script>``,
-    ``replay:<log>``, or ``record:<log>`` (record wraps the default live
-    backend)."""
+    ``replay:<log>``, or ``record:<log>`` (the store in front of the
+    default live backend)."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"backend spec {spec!r} must look like kind:argument")
@@ -358,11 +367,10 @@ def backend_from_spec(spec: str) -> GenerationBackend:
             return MockBackend.from_script(arg)
         except OSError as exc:
             raise BackendError(f"cannot read mock script {arg!r}: {exc}")
-    if kind == "replay":
+    if kind in ("replay", "record"):
+        inner = HttpBackend() if kind == "record" else None
         try:
-            return open_replay(arg)
+            return open_replay(arg, inner)
         except OSError as exc:
-            raise BackendError(f"cannot read replay log {arg!r}: {exc}")
-    if kind == "record":
-        return record_session(arg, HttpBackend())
+            raise BackendError(f"cannot read {kind} log {arg!r}: {exc}")
     raise ValueError(f"unknown backend kind {kind!r} (expected http|mock|replay|record)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BackendError, DatasetInvalid, GoldSchemaMismatch, MalformedArguments, NoArgumentObject
 from .generation import GenerationBackend, GenerationRequest
-from .parsing import extract_argument_map, serialize_argument_map
+from .parsing import ParseOutcome, extract_argument_map, serialize_argument_map
 from .prompting import build_default_prompt
 from .schema import ApiSchema, ArgumentMap, Dialogue
 from .scoring import classify_errors
@@ -125,6 +125,39 @@ def _bounded_map(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
+def request_default(
+    backend: GenerationBackend,
+    schema: ApiSchema,
+    dialogue: Dialogue,
+    n: int,
+    temperature: float,
+    max_tokens: int,
+) -> tuple[str, list[ParseOutcome | str]]:
+    """Send the default prompt for ``n`` outputs and parse each one.
+
+    Returns the prompt and, per output, its ``ParseOutcome`` or, when it does
+    not parse, the name of the parse error (not the exception, whose
+    traceback would keep the parser's frames alive).
+    """
+    prompt = build_default_prompt(schema, dialogue).text
+    record = backend.generate(
+        GenerationRequest(
+            prompt=prompt,
+            temperature=temperature,
+            max_tokens=max_tokens,
+            n_samples=n,
+            tag=dialogue.id,
+        )
+    )
+    parsed: list[ParseOutcome | str] = []
+    for output in record.outputs:
+        try:
+            parsed.append(extract_argument_map(output))
+        except (NoArgumentObject, MalformedArguments) as exc:
+            parsed.append(type(exc).__name__)
+    return prompt, parsed
+
+
 def rejection_sample(
     backend: GenerationBackend,
     dialogues: list[Dialogue],
@@ -143,16 +176,10 @@ def rejection_sample(
 
     def sample_one(dialogue: Dialogue):
         schema = catalog[dialogue.target_api]
-        prompt = build_default_prompt(schema, dialogue).text
-        request = GenerationRequest(
-            prompt=prompt,
-            temperature=config.temperature,
-            max_tokens=config.max_tokens,
-            n_samples=config.k,
-            tag=dialogue.id,
-        )
         try:
-            record = backend.generate(request)
+            prompt, parsed = request_default(
+                backend, schema, dialogue, config.k, config.temperature, config.max_tokens
+            )
         except BackendError as exc:
             if config.strict:
                 raise
@@ -161,11 +188,9 @@ def rejection_sample(
         kept: list[TrainingExample] = []
         counts = {"generated": 0, "parse_failed": 0, "rejected": 0, "deduplicated": 0}
         seen: set[str] = set()
-        for output in record.outputs:
+        for outcome in parsed:
             counts["generated"] += 1
-            try:
-                outcome = extract_argument_map(output)
-            except (NoArgumentObject, MalformedArguments):
+            if isinstance(outcome, str):
                 counts["parse_failed"] += 1
                 continue
             breakdown = classify_errors(outcome.map, dialogue.gold_arguments, schema)

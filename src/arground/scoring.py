@@ -84,10 +84,6 @@ def reward_value(n_error: int, n_total: int) -> float:
     return max(-1.0, min(1.0, raw))
 
 
-def reward_of(breakdown: ErrorBreakdown) -> float:
-    return reward_value(breakdown.n_error, breakdown.n_total)
-
-
 def classify_errors(pred: ArgumentMap, gold: ArgumentMap, schema: ApiSchema) -> ErrorBreakdown:
     """Classify every predicted entry and missing gold slot; compute the reward.
 

@@ -1,4 +1,4 @@
-"""Train/test split construction and external dataset ingestion.
+"""Train/test split construction.
 
 In-domain splits are stratified: within every domain the dialogues are
 sorted by id, shuffled with a per-domain seeded RNG, and ceil(fraction*n)
@@ -11,32 +11,13 @@ insensitive to input order.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
 from typing import Iterable
 
-from .errors import (
-    DatasetInvalid,
-    DegenerateSplit,
-    EmptyDataset,
-    IngestError,
-    InvalidArgumentMap,
-    SchemaInvalid,
-    UnknownDomain,
-)
-from .schema import (
-    ApiSchema,
-    ArgumentMap,
-    Dialogue,
-    DialogueTurn,
-    SlotSpec,
-    _read_source,
-    canonicalize_key,
-    canonicalize_value,
-    normalize_kind,
-)
+from .errors import DegenerateSplit, EmptyDataset, UnknownDomain
+from .schema import Dialogue, canonicalize_value
 
 logger = logging.getLogger(__name__)
 
@@ -147,222 +128,3 @@ def build_split_manifest(
     manifest["test_ids"] = [d.id for d in test]
     return manifest
 
-
-# --- external dataset ingestion ----------------------------------------------
-#
-# Both converters consume a single JSON document (multi-file distribution
-# dumps are concatenated into one object by the caller; see
-# scripts/ingest_dump.py).
-#
-# SGD layout: {"schema": [service...], "dialogues": [dialogue...]} with the
-# public per-record shapes: services carry slots with `is_categorical` and
-# `possible_values`; dialogues carry turns with frames, and a frame's
-# `service_call.parameters` holds the annotated call arguments.
-#
-# STAR-style layout: {"tasks": [...], "dialogues": [...]}; tasks are
-# task specifications {name, description?, domain?, parameters: [{name,
-# type, description?, values?, required?}]}, dialogue events are either
-# utterances {speaker, text} or calls {action: "call"|"query", api?,
-# arguments|constraints}.
-
-
-def ingest_external(source, format: str):
-    """Best-effort conversion of an external dump into (dialogues, catalog, warnings)."""
-    text = _read_source(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"dump is not valid JSON: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise IngestError("dump must be a JSON object")
-    if format == "sgd":
-        return _ingest_sgd(doc)
-    if format == "star":
-        return _ingest_star(doc)
-    raise ValueError(f"unknown ingest format {format!r} (expected sgd|star)")
-
-
-def _domain_of_service(service_name: str) -> str:
-    # "Restaurants_1" -> "restaurants"
-    base = service_name.rsplit("_", 1)
-    if len(base) == 2 and base[1].isdigit():
-        return canonicalize_value(base[0])
-    return canonicalize_value(service_name)
-
-
-def _coerce_value(value) -> str:
-    if isinstance(value, list):
-        value = value[0] if value else ""
-    return str(value)
-
-
-def _ingest_sgd(doc: dict):
-    services = doc.get("schema") or doc.get("schemas")
-    raw_dialogues = doc.get("dialogues")
-    if services is None or raw_dialogues is None:
-        raise IngestError("SGD dump needs 'schema' and 'dialogues' keys")
-
-    catalog: dict[str, ApiSchema] = {}
-    warnings: list[str] = []
-    for service in services:
-        try:
-            slots = []
-            for slot in service.get("slots", []):
-                categorical = bool(slot.get("is_categorical")) and slot.get("possible_values")
-                slots.append(
-                    SlotSpec(
-                        name=slot["name"],
-                        kind="categorical" if categorical else "free-text",
-                        description=slot.get("description", ""),
-                        allowed_values=tuple(slot["possible_values"]) if categorical else None,
-                    )
-                )
-            schema = ApiSchema(
-                api_name=service["service_name"],
-                description=service.get("description", ""),
-                slots=tuple(slots),
-            )
-        except (KeyError, TypeError, SchemaInvalid) as exc:
-            raise IngestError(f"bad SGD service record {service.get('service_name')!r}: {exc}")
-        catalog[schema.api_name] = schema
-
-    dialogues: list[Dialogue] = []
-    for raw in raw_dialogues:
-        try:
-            dialogue_id = raw["dialogue_id"]
-            raw_turns = raw["turns"]
-        except (KeyError, TypeError) as exc:
-            raise IngestError(f"bad SGD dialogue record: missing {exc}")
-        for turn_index, turn in enumerate(raw_turns):
-            for frame in turn.get("frames", []):
-                call = frame.get("service_call")
-                if not call:
-                    continue
-                service = canonicalize_key(frame.get("service", call.get("method", "")))
-                params = call.get("parameters") or {}
-                if service not in catalog:
-                    warnings.append(
-                        f"{dialogue_id}:{turn_index}: unknown service '{service}', skipped"
-                    )
-                    continue
-                if not params:
-                    warnings.append(
-                        f"{dialogue_id}:{turn_index}: call without slot annotations, skipped"
-                    )
-                    continue
-                history = [
-                    DialogueTurn(
-                        speaker="user" if t.get("speaker", "").upper() == "USER" else "agent",
-                        utterance=t.get("utterance", ""),
-                    )
-                    for t in raw_turns[:turn_index]
-                    if t.get("utterance", "").strip()
-                ]
-                if not history:
-                    warnings.append(f"{dialogue_id}:{turn_index}: empty history, skipped")
-                    continue
-                try:
-                    gold = ArgumentMap.from_pairs(
-                        (str(k), _coerce_value(v)) for k, v in params.items()
-                    )
-                    dialogues.append(
-                        Dialogue(
-                            id=f"{dialogue_id}__{turn_index}",
-                            domain=_domain_of_service(frame.get("service", service)),
-                            target_api=service,
-                            turns=tuple(history),
-                            gold_arguments=gold,
-                        )
-                    )
-                except (InvalidArgumentMap, DatasetInvalid) as exc:
-                    warnings.append(f"{dialogue_id}:{turn_index}: {exc}, skipped")
-    return dialogues, catalog, warnings
-
-
-def _ingest_star(doc: dict):
-    tasks = doc.get("tasks")
-    raw_dialogues = doc.get("dialogues")
-    if tasks is None or raw_dialogues is None:
-        raise IngestError("STAR dump needs 'tasks' and 'dialogues' keys")
-
-    catalog: dict[str, ApiSchema] = {}
-    task_domains: dict[str, str] = {}
-    warnings: list[str] = []
-    for task in tasks:
-        try:
-            slots = tuple(
-                SlotSpec(
-                    name=p["name"],
-                    kind=normalize_kind(p.get("type", "text")),
-                    description=p.get("description", ""),
-                    allowed_values=tuple(p["values"]) if p.get("values") else None,
-                    required=bool(p.get("required", True)),
-                )
-                for p in task.get("parameters", [])
-            )
-            schema = ApiSchema(
-                api_name=task["name"],
-                description=task.get("description", ""),
-                slots=slots,
-            )
-        except (KeyError, TypeError, SchemaInvalid) as exc:
-            raise IngestError(f"bad STAR task record {task.get('name')!r}: {exc}")
-        catalog[schema.api_name] = schema
-        domain = task.get("domain") or schema.api_name.split("_")[0]
-        task_domains[schema.api_name] = canonicalize_value(str(domain))
-
-    dialogues: list[Dialogue] = []
-    for raw in raw_dialogues:
-        try:
-            dialogue_id = raw["id"]
-            task_name = canonicalize_key(raw["task"])
-            events = raw["events"]
-        except (KeyError, TypeError) as exc:
-            raise IngestError(f"bad STAR dialogue record: missing {exc}")
-        if task_name not in catalog:
-            warnings.append(f"{dialogue_id}: unknown task '{task_name}', skipped")
-            continue
-        history: list[DialogueTurn] = []
-        call_count = 0
-        for event in events:
-            action = str(event.get("action", "")).lower()
-            if action in ("call", "query"):
-                args = event.get("arguments") or event.get("constraints") or {}
-                api = canonicalize_key(event.get("api", task_name))
-                if api not in catalog:
-                    warnings.append(f"{dialogue_id}: unknown api '{api}', skipped")
-                    continue
-                if not args:
-                    warnings.append(f"{dialogue_id}: call without slot annotations, skipped")
-                    continue
-                if not history:
-                    warnings.append(f"{dialogue_id}: call before any utterance, skipped")
-                    continue
-                try:
-                    gold = ArgumentMap.from_pairs(
-                        (str(k), _coerce_value(v)) for k, v in args.items()
-                    )
-                    dialogues.append(
-                        Dialogue(
-                            id=f"{dialogue_id}__{call_count}",
-                            domain=raw.get("domain") or task_domains[api],
-                            target_api=api,
-                            turns=tuple(history),
-                            gold_arguments=gold,
-                        )
-                    )
-                except (InvalidArgumentMap, DatasetInvalid) as exc:
-                    warnings.append(f"{dialogue_id}: {exc}, skipped")
-                call_count += 1
-                continue
-            text_value = str(event.get("text", "")).strip()
-            if not text_value:
-                continue
-            speaker = str(event.get("speaker", "user")).lower()
-            history.append(
-                DialogueTurn(
-                    speaker="user" if speaker == "user" else "agent",
-                    utterance=text_value,
-                )
-            )
-    return dialogues, catalog, warnings

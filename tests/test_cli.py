@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from arground.cli import EXIT_DATA, EXIT_OK, emit_error_panel, main
+from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_error_panel, main
 from arground.metrics import evaluate_corpus
 from arground.schema import ArgumentMap, dump_dialogues, dump_schema_catalog
 from arground.scoring import classify_errors
@@ -110,3 +110,139 @@ def test_mock_fill_is_deterministic_at_any_in_flight(tmp_path, hair_catalog):
     finally:
         sys.setswitchinterval(interval)
     assert runs == [serial] * 3
+
+
+# --- contracts of every subcommand, on small fixture files ---------------------
+
+def _fixture_files(d, hair_catalog):
+    dialogues = [
+        make_dialogue(f"d{i}", ("salon", "barber")[i % 2], "hair_appointment", {"name": f"person {i}"})
+        for i in range(6)
+    ]
+    (d / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    (d / "dialogues.jsonl").write_text(dump_dialogues(dialogues), encoding="utf-8")
+    _write_jsonl(d / "default.script", [f'{{"name": "person {i}"}}' if i % 3 else "no idea" for i in range(6)])
+    _write_jsonl(d / "multistep.script", [r for i in range(6) for r in (f"person {i}", "NONE", "jess")])
+    # per dialogue: one kept candidate, then an unparseable one or a duplicate
+    _write_jsonl(d / "sample.script", [r for i in range(6) for r in (
+        f"{{'name': 'person {i}'}}", f'{{"name": "person {i}"}}' if i % 2 else "nothing")])
+    _write_jsonl(d / "pred.jsonl", [{"id": f"d{i}", "model": "m", "arguments": {"name": f"persn {i}"}}
+                                    for i in range(6)])
+    gold, schema = dialogues[0].gold_arguments, hair_catalog["hair_appointment"]
+    breakdowns = [classify_errors(ArgumentMap.from_dict(a), gold, schema)
+                  for a in ({"name": "person 0"}, {"stylist": "bob"})]
+    _write_jsonl(d / "scored.jsonl", [{"split": s, "breakdown": b.to_obj()} for s, b in zip("ab", breakdowns)])
+    (d / "synonyms.json").write_text('{"barber": "salon-annex"}', encoding="utf-8")
+
+
+def _common(d):
+    return ["--dialogues", str(d / "dialogues.jsonl"), "--schemas", str(d / "catalog.json")]
+
+
+def _split(kind, extra):
+    def argv(d):
+        return (["split", kind, *_common(d), "--out-train", str(d / "train.jsonl"),
+                 "--out-test", str(d / "test.jsonl"), *extra(d)],
+                ["train.jsonl", "test.jsonl", "split_manifest.json", "train.jsonl.meta.json"])
+    return argv
+
+
+SUBCOMMANDS = {
+    "export-sft": lambda d: (["export-sft", *_common(d), "--out", str(d / "out.jsonl")],
+                             ["out.jsonl", "out.jsonl.meta.json"]),
+    "fill-default": lambda d: (["fill", *_common(d), "--backend", f"mock:{d / 'default.script'}",
+                                "--out", str(d / "out.jsonl")], ["out.jsonl", "out.jsonl.meta.json"]),
+    "fill-multistep": lambda d: (["fill", "--mode", "multistep", *_common(d), "--backend",
+                                  f"mock:{d / 'multistep.script'}", "--out", str(d / "out.jsonl")],
+                                 ["out.jsonl", "out.jsonl.meta.json"]),
+    "reject-sample": lambda d: (["reject-sample", *_common(d), "--backend", f"mock:{d / 'sample.script'}",
+                                 "--k", "2", "--out", str(d / "out.jsonl")],
+                                ["out.jsonl", "out.jsonl.stats.json", "out.jsonl.meta.json"]),
+    "evaluate": lambda d: (["evaluate", "--pred", str(d / "pred.jsonl"), "--gold", str(d / "dialogues.jsonl"),
+                            "--schemas", str(d / "catalog.json"), "--out", str(d / "metrics.csv"),
+                            "--scored-out", str(d / "out.jsonl")],
+                           ["metrics.csv", "out.jsonl", "metrics.csv.meta.json"]),
+    "report": lambda d: (["report", "--breakdowns", str(d / "scored.jsonl"), "--group-by", "split",
+                          "--out", str(d / "panel.csv")], ["panel.csv", "panel.csv.meta.json"]),
+    "split-in-domain": _split("in-domain", lambda d: ["--fraction", "0.5", "--seed", "3"]),
+    "split-out-of-domain": _split("out-of-domain", lambda d: ["--holdout", "barber",
+                                                              "--synonyms", str(d / "synonyms.json")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_rerun_is_byte_identical(name, tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, artifacts = SUBCOMMANDS[name](tmp_path)
+
+    def run():
+        assert main(argv) == EXIT_OK
+        return {a: (tmp_path / a).read_bytes() for a in artifacts}
+
+    first = run()
+    assert all(first.values())
+    assert run() == first
+
+
+def test_split_in_domain_writes_all_four_files(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, artifacts = SUBCOMMANDS["split-in-domain"](tmp_path)
+    assert main(argv) == EXIT_OK
+    assert all((tmp_path / a).exists() for a in artifacts)
+    manifest = json.loads((tmp_path / "split_manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["train_ids"] + manifest["test_ids"]) == [f"d{i}" for i in range(6)]
+
+
+@pytest.mark.parametrize("synonyms", ["[1, 2]", '{"salon": 1}', "{not json"])
+def test_malformed_synonyms_is_data_error(synonyms, tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    (tmp_path / "synonyms.json").write_text(synonyms, encoding="utf-8")
+    argv, _ = SUBCOMMANDS["split-out-of-domain"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [5, {"id": ["d0"], "arguments": {}}, {"id": "d0", "model": ["m"], "arguments": {}}])
+def test_malformed_prediction_row_is_data_error(row, tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_jsonl(tmp_path / "pred.jsonl", [row, *({"id": f"d{i}", "arguments": {}} for i in range(1, 6))])
+    argv, _ = SUBCOMMANDS["evaluate"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_report_row_that_is_not_an_object_is_data_error(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_jsonl(tmp_path / "scored.jsonl", ["breakdown"])
+    argv, _ = SUBCOMMANDS["report"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_k_zero_is_usage_error(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, _ = SUBCOMMANDS["reject-sample"](tmp_path)
+    argv[argv.index("--k") + 1] = "0"
+    assert main(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "backend, log",
+    [
+        ("replay:{d}/log.jsonl", '{"request": {"prompt": "other", "temperature": 0.0, "max_tokens": 256, '
+                                 '"n_samples": 1}, "outputs": ["{}"]}\n'),  # ReplayMiss
+        ("replay:{d}/log.jsonl", "not a record\n"),  # LogCorrupt
+        ("replay:{d}/missing.jsonl", ""),
+        ("mock:{d}/log.jsonl", '"{}"\n'),  # the script runs dry on the second dialogue
+        ("record:{d}/log.jsonl", ""),  # no ARGROUND_API_KEY
+    ],
+)
+def test_backend_failures_exit_3(backend, log, tmp_path, hair_catalog, monkeypatch, capsys):
+    monkeypatch.delenv("ARGROUND_API_KEY", raising=False)
+    _fixture_files(tmp_path, hair_catalog)
+    (tmp_path / "log.jsonl").write_text(log, encoding="utf-8")
+    argv, _ = SUBCOMMANDS["fill-default"](tmp_path)
+    argv[argv.index("--backend") + 1] = backend.format(d=tmp_path)
+    assert main(argv) == EXIT_BACKEND
+    assert "backend error" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()

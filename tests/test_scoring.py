@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from arground.errors import GoldSchemaMismatch
 from arground.fuzzy import levenshtein, similarity, values_match
 from arground.schema import ApiSchema, ArgumentMap, SlotSpec
-from arground.scoring import ErrorBreakdown, classify_errors, reward_of, reward_value
+from arground.scoring import ErrorBreakdown, classify_errors, reward_value
 
 from oracle import edit_distance, ref_breakdown, ref_values_match
 
@@ -215,7 +215,7 @@ class TestReward:
 
     def test_reward_of_matches_field(self, hair_schema):
         b = classify_errors(amap(("name", "john")), GOLD, hair_schema)
-        assert reward_of(b) == b.reward
+        assert b.reward == reward_value(b.n_error, b.n_total)
 
 
 # --- property tests -----------------------------------------------------------
