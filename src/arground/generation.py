@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import AuthError, BackendError, LogCorrupt, ReplayMiss
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 DEFAULT_TIMEOUT = 60.0
@@ -255,6 +258,7 @@ class HttpBackend(GenerationBackend):
         last_error: str = ""
         for attempt in range(self.retries + 1):
             if attempt:
+                logger.warning("retrying after %s (attempt %d/%d)", last_error, attempt, self.retries)
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 response = self._post(payload)

@@ -5,11 +5,21 @@ trailing commas. The relaxed grammar here accepts all of that, flattens
 literals to strings, and reports every repair it applied as a warning.
 Only the FIRST balanced ``{...}`` region is parsed; nested objects and
 arrays are rejected because the argument format is flat key->value.
+
+Parsing takes time linear in the length of the output, whatever the output.
+The region is the first ``{`` whose quote-aware forward scan closes. On
+normal output the scan from the first ``{`` closes, and it moves by
+compiled-regex jumps to the next brace, quote or backslash. Only when that
+scan reaches the end with the brace still open (degenerate output such as
+``{ 'a`` repeated) does one backward pass over the rest of the text pick the
+first later ``{`` that closes, instead of rescanning from every ``{``. The
+body scan copies whole runs of quoted text between quotes and backslashes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import InvalidKey, MalformedArguments, NoArgumentObject
@@ -60,48 +70,114 @@ class _Warnings:
         return tuple(self._seen)
 
 
-def _first_balanced_region(text: str) -> tuple[int, int] | None:
-    """Span (open, close) of the first balanced brace region, quote-aware.
+# Outside a quote only braces and quote characters matter; inside one, only
+# its closing quote and the backslash.
+_OUTSIDE_STOP = re.compile(r"""[{}"']""")
+_QUOTED_STOP = {'"': re.compile(r'["\\]'), "'": re.compile(r"['\\]")}
 
-    Quote characters only open a string when they appear where a token may
-    start (after '{', ':' or ','), so apostrophes inside bare words and in
-    surrounding prose do not derail the scan.
+
+def _quote_end(text: str, open_at: int) -> int | None:
+    """Index of the quote closing the one at ``open_at``; None if the text ends first."""
+    search = _QUOTED_STOP[text[open_at]].search
+    pos = open_at + 1
+    while True:
+        m = search(text, pos)
+        if m is None:
+            return None
+        at = m.start()
+        if text[at] != "\\":
+            return at
+        pos = at + 2
+
+
+def _close_of(text: str, start: int) -> int | None:
+    """Index of the '}' balancing the '{' at ``start``; None if the text ends first.
+
+    Quote characters only open a string where a token may start (after '{',
+    ':' or ','), so apostrophes inside bare words and in surrounding prose do
+    not derail the scan. Each step jumps to the next brace or quote.
     """
-    n = len(text)
+    depth = 1
+    token_start = True
+    pos = start + 1
+    search = _OUTSIDE_STOP.search
+    while True:
+        m = search(text, pos)
+        if m is None:
+            return None
+        at = m.start()
+        ch = text[at]
+        if ch == "{":
+            depth += 1
+            token_start = True
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return at
+            token_start = False
+        else:
+            skipped = text[pos:at].rstrip()
+            if skipped:
+                token_start = skipped[-1] in ":,"
+            if token_start:
+                at = _quote_end(text, at)
+                if at is None:
+                    return None
+            token_start = False
+        pos = at + 1
+
+
+def _first_closing_open(text: str, after: int) -> int | None:
+    """First '{' past ``after`` whose forward scan closes, in one backward pass.
+
+    Apart from depth, the forward scan is in one of six states: outside a
+    quote at a token start (t) or not (o), inside a double (d) or single (s)
+    quote, or an escape pending in either (ed, es). Walking right to left,
+    each variable holds, for the text from the current position on, the
+    minimum depth change over its prefixes when the scan enters there in that
+    state. A scan from '{' at i closes when t at i + 1 is at most -1.
+    """
+    t = o = d = s = ed = es = 0
+    found = None
+    for i in range(len(text) - 1, after, -1):
+        ch = text[i]
+        if ch == "{":
+            if t < 0:
+                found = i
+            t = o = min(0, t + 1)
+            ed, es = d, s
+        elif ch == "}":
+            t = o = o - 1
+            ed, es = d, s
+        elif ch == '"':
+            t, d, ed, es = d, o, d, s
+        elif ch == "'":
+            t, s, ed, es = s, o, d, s
+        elif ch == "\\":
+            t, d, s, ed, es = o, ed, es, d, s
+        elif ch == ":" or ch == ",":
+            o = t
+            ed, es = d, s
+        elif ch.isspace():
+            ed, es = d, s
+        else:
+            t = o
+            ed, es = d, s
+    return found
+
+
+def _first_balanced_region(text: str) -> tuple[int, int] | None:
+    """Span (open, close) of the first '{' whose quote-aware scan balances."""
     start = text.find("{")
-    while start != -1:
-        depth = 0
-        quote: str | None = None
-        prev_sig = ""
-        i = start
-        while i < n:
-            ch = text[i]
-            if quote is not None:
-                if ch == "\\":
-                    i += 2
-                    continue
-                if ch == quote:
-                    quote = None
-                    prev_sig = ch
-                i += 1
-                continue
-            if ch in "\"'":
-                if prev_sig in ("{", ":", ","):
-                    quote = ch
-                prev_sig = ch
-            elif ch == "{":
-                depth += 1
-                prev_sig = ch
-            elif ch == "}":
-                depth -= 1
-                prev_sig = ch
-                if depth == 0:
-                    return start, i
-            elif not ch.isspace():
-                prev_sig = ch
-            i += 1
-        start = text.find("{", start + 1)
-    return None
+    if start == -1:
+        return None
+    close = _close_of(text, start)
+    if close is None:
+        start = _first_closing_open(text, start)
+        if start is None:
+            return None
+        close = _close_of(text, start)
+    return start, close
 
 
 def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str | None]]:
@@ -125,34 +201,35 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
     def scan_quoted() -> str:
         nonlocal pos
         quote = inner[pos]
+        search = _QUOTED_STOP[quote].search
         pos += 1
         buf: list[str] = []
-        while pos < n:
-            ch = inner[pos]
-            if ch == "\\":
-                if pos + 1 >= n:
-                    fail("unterminated escape")
-                nxt = inner[pos + 1]
-                if nxt == "u" and pos + 6 <= n:
-                    hexpart = inner[pos + 2 : pos + 6]
-                    try:
-                        buf.append(chr(int(hexpart, 16)))
-                        pos += 6
-                        continue
-                    except ValueError:
-                        pass
-                buf.append(_ESCAPES.get(nxt, nxt))
-                pos += 2
-                continue
-            if ch == quote:
+        while True:
+            m = search(inner, pos)
+            if m is None:
+                pos = n
+                fail("unterminated string")
+            at = m.start()
+            buf.append(inner[pos:at])
+            pos = at
+            if inner[at] == quote:
                 pos += 1
                 if quote == "'":
                     warnings.add(WARN_SINGLE_QUOTES)
                 return "".join(buf)
-            buf.append(ch)
-            pos += 1
-        fail("unterminated string")
-        raise AssertionError("unreachable")
+            if pos + 1 >= n:
+                fail("unterminated escape")
+            nxt = inner[pos + 1]
+            if nxt == "u" and pos + 6 <= n:
+                hexpart = inner[pos + 2 : pos + 6]
+                try:
+                    buf.append(chr(int(hexpart, 16)))
+                    pos += 6
+                    continue
+                except ValueError:
+                    pass
+            buf.append(_ESCAPES.get(nxt, nxt))
+            pos += 2
 
     skip_ws()
     if pos >= n:
@@ -250,9 +327,5 @@ def serialize_argument_map(amap: ArgumentMap, order: str = "given") -> str:
     """
     if order not in ("given", "sorted"):
         raise ValueError(f"order must be 'given' or 'sorted', got {order!r}")
-    entries = amap.entries if order == "given" else tuple(sorted(amap.entries))
-    body = ", ".join(
-        f"{json.dumps(k, ensure_ascii=False)}: {json.dumps(v, ensure_ascii=False)}"
-        for k, v in entries
-    )
-    return "{" + body + "}"
+    entries = amap.entries if order == "given" else sorted(amap.entries)
+    return json.dumps(dict(entries), ensure_ascii=False)

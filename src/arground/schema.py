@@ -257,6 +257,8 @@ class DialogueTurn:
     utterance: str
 
     def __post_init__(self):
+        if not isinstance(self.speaker, str) or not isinstance(self.utterance, str):
+            raise DatasetInvalid("turn speaker and utterance must be strings")
         speaker = self.speaker.strip().lower()
         if speaker not in ("user", "agent"):
             raise DatasetInvalid(f"speaker must be 'user' or 'agent', got {self.speaker!r}")
@@ -379,9 +381,19 @@ def dialogue_to_obj(dialogue: Dialogue) -> dict:
 
 
 def dialogue_from_obj(obj: dict) -> Dialogue:
+    if not isinstance(obj, dict):
+        raise DatasetInvalid(f"dialogue record must be a JSON object, got {type(obj).__name__}")
     try:
-        turns = tuple(DialogueTurn(t["speaker"], t["utterance"]) for t in obj["turns"])
-        gold = ArgumentMap.from_dict(obj.get("gold_arguments", {}))
+        raw_turns = obj["turns"]
+        if not isinstance(raw_turns, list) or not all(isinstance(t, dict) for t in raw_turns):
+            raise DatasetInvalid(f"dialogue {obj.get('id')!r}: turns must be a list of objects")
+        turns = tuple(DialogueTurn(t["speaker"], t["utterance"]) for t in raw_turns)
+        raw_gold = obj.get("gold_arguments", {})
+        if not isinstance(raw_gold, dict) or any(isinstance(v, (dict, list)) for v in raw_gold.values()):
+            raise DatasetInvalid(
+                f"dialogue {obj.get('id')!r}: gold_arguments must be an object of scalar values"
+            )
+        gold = ArgumentMap.from_dict(raw_gold)
         return Dialogue(
             id=str(obj["id"]),
             domain=str(obj["domain"]),

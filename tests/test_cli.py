@@ -246,3 +246,36 @@ def test_backend_failures_exit_3(backend, log, tmp_path, hair_catalog, monkeypat
     assert main(argv) == EXIT_BACKEND
     assert "backend error" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+_GOOD_RECORD = {"id": "d0", "domain": "salon", "target_api": "hair_appointment",
+                "turns": [{"speaker": "user", "utterance": "a haircut at 3pm"}],
+                "gold_arguments": {"name": "john"}}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {**_GOOD_RECORD, "gold_arguments": ["name", "john"]},
+        {**_GOOD_RECORD, "turns": [{"speaker": "user", "utterance": 3}]},
+        [_GOOD_RECORD],
+        {**_GOOD_RECORD, "turns": None},
+        {**_GOOD_RECORD, "turns": "user: a haircut"},
+        {**_GOOD_RECORD, "gold_arguments": {"name": {"first": "john"}}},
+    ],
+    ids=["gold-list", "numeric-utterance", "record-list", "turns-null", "turns-string", "gold-object-value"],
+)
+def test_malformed_dialogue_record_is_data_error(record, tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_jsonl(tmp_path / "dialogues.jsonl", [record])
+    argv, _ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_well_formed_dialogue_record_exports(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_jsonl(tmp_path / "dialogues.jsonl", [_GOOD_RECORD])
+    argv, _ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_OK

@@ -1,9 +1,11 @@
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arground import parsing
 from arground.errors import InvalidKey, MalformedArguments, NoArgumentObject
 from arground.parsing import (
     WARN_BARE_WORD,
@@ -17,6 +19,7 @@ from arground.parsing import (
     serialize_argument_map,
 )
 from arground.schema import ArgumentMap, canonicalize_key, canonicalize_value
+from oracle import ref_extract_argument_map, ref_first_balanced_region, ref_serialize
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "malformed_outputs"
 
@@ -178,3 +181,94 @@ def test_extract_survives_arbitrary_bytes(blob):
         extract_argument_map(blob.decode("latin-1"))
     except (NoArgumentObject, MalformedArguments):
         pass
+
+
+# --- the linear-time parser against the previous one (tests/oracle.py) -------
+
+# Braces, both quotes, the separators, the backslash and a \uXXXX escape's
+# letters, plus whitespace that str.isspace() accepts beyond the space.
+_PARSER_ALPHABET = list("{}'\" a:,\\xu0") + ["\n", "\t", "\x1c", "\xa0"]
+
+
+def _outcome(extract, raw):
+    """Everything a caller can observe: map and warnings, or error class and span."""
+    try:
+        outcome = extract(raw)
+    except (NoArgumentObject, MalformedArguments) as exc:
+        return type(exc).__name__, getattr(exc, "span", None)
+    return outcome.map, outcome.warnings
+
+
+@given(st.text(alphabet=_PARSER_ALPHABET, max_size=64))
+@example("{ 'a" * 16)
+@example("{'a': '\\u00e9'}{")
+@example("{{\"a\\")
+@settings(max_examples=2000)
+def test_region_and_outcome_agree_with_oracle(raw):
+    assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw)
+    assert _outcome(extract_argument_map, raw) == _outcome(ref_extract_argument_map, raw)
+
+
+@given(st.text(alphabet="{}'\"\\:, a", max_size=64))
+@settings(max_examples=2000)
+def test_region_agrees_with_oracle_on_dense_punctuation(raw):
+    assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw)
+
+
+# Whole tokens reach nested regions, closed strings next to stray quotes and
+# escapes inside single quotes far more often than single characters do.
+_PARSER_TOKENS = ["{", "}", "'", '"', "\\", ":", ",", " ", "\n", "\xa0", "a", "x", "null",
+                  '"k"', "'v'", '"a\\"b"', "'a\\'b'", "'\\u00e9'", "\\u0041", "{}", "```"]
+
+
+@given(st.lists(st.sampled_from(_PARSER_TOKENS), max_size=24))
+@example(["{", "{", '"k"', "'", "}"])
+@example(["{", "{", "'a\\'b'", "\\", "'", "}"])
+@example(["{", '"k"', ":", " ", "x", ":", "'", "a", ",", " ", "'", "a", "}"])
+@example(["{", "{", "'", "\\", "\\", "'", "}"])
+@settings(max_examples=2000, deadline=None)
+def test_region_and_outcome_agree_with_oracle_on_tokens(tokens):
+    raw = "".join(tokens)
+    assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw)
+    assert _outcome(extract_argument_map, raw) == _outcome(ref_extract_argument_map, raw)
+
+
+def test_fixture_corpus_agrees_with_oracle():
+    txt_files = sorted(FIXTURE_DIR.glob("*.txt"))
+    assert len(txt_files) == 28
+    for txt in txt_files:
+        raw = txt.read_text(encoding="utf-8")
+        assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw), txt.name
+        assert _outcome(extract_argument_map, raw) == _outcome(ref_extract_argument_map, raw), txt.name
+
+
+@given(argument_maps())
+@example(ArgumentMap.from_pairs((("note", 'say "hi"\\ \u00e9 \U0001f600 \x07'), ("a", "b"))))
+@settings(max_examples=200)
+def test_serialize_agrees_with_oracle(amap):
+    for order in ("given", "sorted"):
+        assert serialize_argument_map(amap, order) == ref_serialize(amap, order)
+
+
+def _best_of_three(raw_by_size):
+    """Best of three timings of extract_argument_map per size, interleaved so
+    that a slow spell of the machine falls on both sizes alike."""
+    best = dict.fromkeys(raw_by_size, float("inf"))
+    for _ in range(3):
+        for size, raw in raw_by_size.items():
+            started = time.perf_counter()
+            try:
+                extract_argument_map(raw)
+            except (NoArgumentObject, MalformedArguments):
+                pass
+            best[size] = min(best[size], time.perf_counter() - started)
+    return best
+
+
+@pytest.mark.parametrize("shape", ["{ 'a", "{", '{"a\\'])
+def test_parser_scales_linearly(shape):
+    # Quadrupling the input quadruples linear work and multiplies quadratic
+    # work by 16; the bound of 8 sits between them and uses no wall-clock limit.
+    raw_by_size = {size: (shape * size)[:size] for size in (16_000, 64_000)}
+    best = _best_of_three(raw_by_size)
+    assert best[64_000] / best[16_000] < 8
