@@ -30,18 +30,14 @@ from .errors import (
     BackendError,
     EmptyCorpus,
     LogCorrupt,
+    MalformedArguments,
+    NoArgumentObject,
 )
-from .generation import DEFAULT_IN_FLIGHT, MockBackend, backend_from_spec
+from .generation import DEFAULT_IN_FLIGHT, backend_from_spec, generate_all
 from .metrics import error_rates, evaluate_corpus, metrics_report_csv
-from .prompting import run_multistep, template_hashes
-from .sampler import (
-    SamplerConfig,
-    _bounded_map,
-    dump_training_examples,
-    export_sft_dataset,
-    rejection_sample,
-    request_default,
-)
+from .parsing import extract_argument_map
+from .prompting import default_request, multistep_map, slot_requests, template_hashes
+from .sampler import SamplerConfig, dump_training_examples, export_sft_dataset, rejection_sample
 from .schema import ArgumentMap, dump_dialogues, load_dialogues, load_schema_catalog
 from .scoring import ErrorBreakdown, classify_errors
 from .splits import build_split_manifest, split_in_domain, split_out_of_domain
@@ -127,12 +123,6 @@ def _dump_jsonl(rows: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _in_flight(args, backend) -> int:
-    """A mock backend's script is positional, so its requests go out one at a
-    time: concurrent dispatch would hand outputs to the wrong dialogues."""
-    return 1 if isinstance(backend, MockBackend) else args.in_flight
-
-
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_export_sft(args) -> int:
@@ -158,7 +148,7 @@ def _cmd_reject_sample(args) -> int:
         k=args.k,
         temperature=args.temperature,
         max_tokens=args.max_tokens,
-        in_flight=_in_flight(args, backend),
+        in_flight=args.in_flight,
         strict=args.strict,
     )
     augmented, stats = rejection_sample(backend, dialogues, catalog, config)
@@ -186,32 +176,34 @@ def _cmd_fill(args) -> int:
     catalog = load_schema_catalog(args.schemas)
     dialogues = load_dialogues(args.dialogues, catalog)
     backend = backend_from_spec(args.backend)
+    schemas = [catalog[d.target_api] for d in dialogues]
+    if args.mode == "multistep":
+        groups = [slot_requests(s, d, args.temperature, args.max_tokens) for s, d in zip(schemas, dialogues)]
+    else:
+        groups = [[default_request(s, d, 1, args.temperature, args.max_tokens)] for s, d in zip(schemas, dialogues)]
 
-    def fill_one(dialogue):
-        schema = catalog[dialogue.target_api]
+    rows = []
+    for dialogue, schema, records in zip(dialogues, schemas, generate_all(backend, groups, args.in_flight)):
+        warnings: list[str] = []
         if args.mode == "multistep":
-            arguments, _ = run_multistep(
-                backend, schema, dialogue, temperature=args.temperature, max_tokens=args.max_tokens
-            )
-            warnings: list[str] = []
+            arguments = multistep_map(schema, dialogue, records)
+        elif isinstance(records[0], BackendError):
+            raise records[0]
         else:
-            _, (outcome,) = request_default(
-                backend, schema, dialogue, 1, args.temperature, args.max_tokens
-            )
-            if isinstance(outcome, str):
-                arguments, warnings = ArgumentMap(), [f"unparseable output: {outcome}"]
-            else:
+            try:
+                outcome = extract_argument_map(records[0].outputs[0])
                 arguments, warnings = outcome.map, list(outcome.warnings)
-        return {
+            except (NoArgumentObject, MalformedArguments) as exc:
+                arguments, warnings = ArgumentMap(), [f"unparseable output: {type(exc).__name__}"]
+        rows.append({
             "id": dialogue.id,
             "target_api": dialogue.target_api,
             "mode": args.mode,
             "model": backend.backend_id,
             "arguments": arguments.as_dict(),
             "warnings": warnings,
-        }
+        })
 
-    rows = _bounded_map(fill_one, dialogues, _in_flight(args, backend))
     _atomic_write(args.out, _dump_jsonl(rows))
     _write_metadata(
         args.out,
@@ -376,7 +368,8 @@ def build_parser() -> _Parser:
         p.add_argument("--backend", required=True, help="http:<profile> | mock:<script> | replay:<log> | record:<log>")
         p.add_argument("--temperature", type=float, default=temperature_default)
         p.add_argument("--max-tokens", type=int, default=256)
-        p.add_argument("--in-flight", type=int, default=DEFAULT_IN_FLIGHT)
+        p.add_argument("--in-flight", type=int, default=DEFAULT_IN_FLIGHT,
+                       help="at most N backend requests outstanding; mock backends are sent one at a time")
 
     p = sub.add_parser("export-sft", help="emit gold prompt/completion training data")
     p.add_argument("--dialogues", required=True)

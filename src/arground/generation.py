@@ -21,6 +21,10 @@ without repeating a call.
 Requests are keyed by a hash of (prompt, temperature, n_samples,
 max_tokens, stop_sequences), not by sequence number, so replay tolerates
 request reordering under concurrency. The tag is not part of the key.
+
+``generate_all`` is the only dispatch path: every command hands it all of
+its requests at once and gets back, in the order given, each request's
+record or the ``BackendError`` it raised.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import logging
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,8 +152,8 @@ class GenerationBackend:
 class MockBackend(GenerationBackend):
     """Pops scripted outputs in order; raises when the script runs dry.
 
-    The queue is positional, so the CLI sends a mock backend's requests one
-    at a time, whatever its in-flight bound.
+    The queue is positional, so ``generate_all`` sends a mock backend's
+    requests one at a time, whatever its in-flight bound.
     """
 
     backend_id = "mock"
@@ -355,6 +360,33 @@ def open_replay(path, inner: GenerationBackend | None = None) -> ReplayBackend:
                     index.setdefault(request_key(record.request), record.outputs)
             offset += len(raw_line)
     return ReplayBackend(index, inner, path)
+
+
+def generate_all(
+    backend: GenerationBackend, groups: list[list[GenerationRequest]], in_flight: int = DEFAULT_IN_FLIGHT
+) -> list[list[GenerationRecord | BackendError]]:
+    """Send every request of every group with at most ``in_flight`` outstanding.
+
+    Returns, per group and in the order given, each request's record or the
+    ``BackendError`` it raised. A mock backend's script is positional, so its
+    requests go out one at a time, in order.
+    """
+    if in_flight < 1:
+        raise ValueError("in_flight must be >= 1")
+
+    def send(request: GenerationRequest) -> GenerationRecord | BackendError:
+        try:
+            return backend.generate(request)
+        except BackendError as exc:
+            return exc
+
+    requests = [request for group in groups for request in group]
+    if in_flight == 1 or len(requests) <= 1 or isinstance(backend, MockBackend):
+        results = iter([send(request) for request in requests])
+    else:
+        with ThreadPoolExecutor(max_workers=min(in_flight, len(requests))) as pool:
+            results = iter(list(pool.map(send, requests)))
+    return [[next(results) for _ in group] for group in groups]
 
 
 def backend_from_spec(spec: str) -> GenerationBackend:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
-from .generation import GenerationBackend, GenerationRecord, GenerationRequest
+from .generation import GenerationRecord, GenerationRequest
 from .schema import ApiSchema, ArgumentMap, Dialogue, SlotSpec, canonicalize_value
 
 logger = logging.getLogger(__name__)
@@ -176,38 +176,52 @@ def parse_slot_response(raw: str) -> str | None:
     raise EmptySlotResponse("slot response contains no non-empty line")
 
 
-def run_multistep(
-    backend: GenerationBackend,
-    schema: ApiSchema,
-    dialogue: Dialogue,
-    temperature: float = 0.0,
-    max_tokens: int = 64,
-) -> tuple[ArgumentMap, list[GenerationRecord]]:
-    """Prompt for one slot at a time, in schema order.
+def default_request(
+    schema: ApiSchema, dialogue: Dialogue, n: int, temperature: float, max_tokens: int
+) -> GenerationRequest:
+    """One request for ``n`` outputs of the default prompt, tagged with the dialogue id."""
+    return GenerationRequest(
+        prompt=build_default_prompt(schema, dialogue).text,
+        temperature=temperature,
+        max_tokens=max_tokens,
+        n_samples=n,
+        tag=dialogue.id,
+    )
 
-    Keys come from the schema by construction, so multi-step predictions can
-    never contain a non-existent key. An empty reply is treated as absent.
-    """
-    entries: list[tuple[str, str]] = []
-    transcript: list[GenerationRecord] = []
-    for slot in schema.slots:
-        bundle = build_slot_prompt(schema, dialogue, slot)
-        request = GenerationRequest(
-            prompt=bundle.text,
+
+def slot_requests(
+    schema: ApiSchema, dialogue: Dialogue, temperature: float, max_tokens: int
+) -> list[GenerationRequest]:
+    """One single-line request per slot, in schema order, tagged ``<id>:<slot>``."""
+    return [
+        GenerationRequest(
+            prompt=build_slot_prompt(schema, dialogue, slot).text,
             temperature=temperature,
             max_tokens=max_tokens,
             n_samples=1,
             stop_sequences=("\n",),
             tag=f"{dialogue.id}:{slot.name}",
         )
-        try:
-            record = backend.generate(request)
-        except BackendError as exc:
+        for slot in schema.slots
+    ]
+
+
+def multistep_map(
+    schema: ApiSchema, dialogue: Dialogue, records: list[GenerationRecord | BackendError]
+) -> ArgumentMap:
+    """Assemble the replies to ``slot_requests`` into an argument map.
+
+    Keys come from the schema by construction, so multi-step predictions can
+    never contain a non-existent key. An empty reply is treated as absent;
+    the first failed request raises, naming its slot.
+    """
+    entries: list[tuple[str, str]] = []
+    for slot, record in zip(schema.slots, records):
+        if isinstance(record, BackendError):
             raise BackendError(
-                f"backend failed on slot '{slot.name}' of dialogue '{dialogue.id}': {exc}",
+                f"backend failed on slot '{slot.name}' of dialogue '{dialogue.id}': {record}",
                 slot=slot.name,
-            ) from exc
-        transcript.append(record)
+            ) from record
         try:
             value = parse_slot_response(record.outputs[0])
         except EmptySlotResponse:
@@ -219,4 +233,4 @@ def run_multistep(
             continue
         if value is not None:
             entries.append((slot.name, value))
-    return ArgumentMap(tuple(entries)), transcript
+    return ArgumentMap(tuple(entries))

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BackendError, DatasetInvalid, GoldSchemaMismatch, MalformedArguments, NoArgumentObject
-from .generation import GenerationBackend, GenerationRequest
-from .parsing import ParseOutcome, extract_argument_map, serialize_argument_map
-from .prompting import build_default_prompt
+from .generation import GenerationBackend, generate_all
+from .parsing import extract_argument_map, serialize_argument_map
+from .prompting import build_default_prompt, default_request
 from .schema import ApiSchema, ArgumentMap, Dialogue
 from .scoring import classify_errors
 
@@ -76,8 +75,6 @@ class SamplerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.in_flight < 1:
-            raise ValueError("in_flight must be >= 1")
 
 
 def _schema_for(dialogue: Dialogue, catalog: dict[str, ApiSchema]) -> ApiSchema:
@@ -118,46 +115,6 @@ def export_sft_dataset(
     return [gold_training_example(d, _schema_for(d, catalog)) for d in dialogues]
 
 
-def _bounded_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def request_default(
-    backend: GenerationBackend,
-    schema: ApiSchema,
-    dialogue: Dialogue,
-    n: int,
-    temperature: float,
-    max_tokens: int,
-) -> tuple[str, list[ParseOutcome | str]]:
-    """Send the default prompt for ``n`` outputs and parse each one.
-
-    Returns the prompt and, per output, its ``ParseOutcome`` or, when it does
-    not parse, the name of the parse error (not the exception, whose
-    traceback would keep the parser's frames alive).
-    """
-    prompt = build_default_prompt(schema, dialogue).text
-    record = backend.generate(
-        GenerationRequest(
-            prompt=prompt,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            n_samples=n,
-            tag=dialogue.id,
-        )
-    )
-    parsed: list[ParseOutcome | str] = []
-    for output in record.outputs:
-        try:
-            parsed.append(extract_argument_map(output))
-        except (NoArgumentObject, MalformedArguments) as exc:
-            parsed.append(type(exc).__name__)
-    return prompt, parsed
-
-
 def rejection_sample(
     backend: GenerationBackend,
     dialogues: list[Dialogue],
@@ -166,67 +123,57 @@ def rejection_sample(
 ) -> tuple[list[TrainingExample], SamplerStats]:
     """Generate, score, filter, and assemble the augmented dataset.
 
-    Emission order follows input dialogue order regardless of worker
-    count: per dialogue the gold example first, then kept samples in
+    Emission order follows input dialogue order regardless of the in-flight
+    bound: per dialogue the gold example first, then kept samples in
     generation order.
     """
     stats = SamplerStats()
     # Validate gold against schema up front; a dataset bug is fatal.
     golds = [gold_training_example(d, _schema_for(d, catalog)) for d in dialogues]
+    groups = [
+        [default_request(catalog[d.target_api], d, config.k, config.temperature, config.max_tokens)]
+        for d in dialogues
+    ]
+    records = generate_all(backend, groups, config.in_flight)
 
-    def sample_one(dialogue: Dialogue):
-        schema = catalog[dialogue.target_api]
-        try:
-            prompt, parsed = request_default(
-                backend, schema, dialogue, config.k, config.temperature, config.max_tokens
-            )
-        except BackendError as exc:
+    augmented: list[TrainingExample] = []
+    reward_sum = 0.0
+    for dialogue, gold, (record,) in zip(dialogues, golds, records):
+        augmented.append(gold)
+        if isinstance(record, BackendError):
             if config.strict:
-                raise
-            logger.warning("skipping dialogue '%s': %s", dialogue.id, exc)
-            return None
+                raise record
+            logger.warning("skipping dialogue '%s': %s", dialogue.id, record)
+            stats.skipped_dialogues += 1
+            continue
+        schema = catalog[dialogue.target_api]
         kept: list[TrainingExample] = []
-        counts = {"generated": 0, "parse_failed": 0, "rejected": 0, "deduplicated": 0}
         seen: set[str] = set()
-        for outcome in parsed:
-            counts["generated"] += 1
-            if isinstance(outcome, str):
-                counts["parse_failed"] += 1
+        for output in record.outputs:
+            stats.generated += 1
+            try:
+                candidate = extract_argument_map(output).map
+            except (NoArgumentObject, MalformedArguments):
+                stats.parse_failed += 1
                 continue
-            breakdown = classify_errors(outcome.map, dialogue.gold_arguments, schema)
+            breakdown = classify_errors(candidate, dialogue.gold_arguments, schema)
             if breakdown.reward <= 0.0:
-                counts["rejected"] += 1
+                stats.rejected += 1
                 continue
-            dedup_key = serialize_argument_map(outcome.map, "sorted")
+            dedup_key = serialize_argument_map(candidate, "sorted")
             if dedup_key in seen:
-                counts["deduplicated"] += 1
+                stats.deduplicated += 1
                 continue
             seen.add(dedup_key)
             kept.append(
                 TrainingExample(
-                    prompt=prompt,
-                    completion=serialize_argument_map(outcome.map, "given"),
+                    prompt=record.request.prompt,
+                    completion=serialize_argument_map(candidate, "given"),
                     source="sampled",
                     reward=breakdown.reward,
                     dialogue_id=dialogue.id,
                 )
             )
-        return kept, counts
-
-    results = _bounded_map(sample_one, dialogues, config.in_flight)
-
-    augmented: list[TrainingExample] = []
-    reward_sum = 0.0
-    for gold, result in zip(golds, results):
-        augmented.append(gold)
-        if result is None:
-            stats.skipped_dialogues += 1
-            continue
-        kept, counts = result
-        stats.generated += counts["generated"]
-        stats.parse_failed += counts["parse_failed"]
-        stats.rejected += counts["rejected"]
-        stats.deduplicated += counts["deduplicated"]
         stats.kept += len(kept)
         reward_sum += sum(e.reward for e in kept)
         augmented.extend(kept)

@@ -389,15 +389,17 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
             raise DatasetInvalid(f"dialogue {obj.get('id')!r}: turns must be a list of objects")
         turns = tuple(DialogueTurn(t["speaker"], t["utterance"]) for t in raw_turns)
         raw_gold = obj.get("gold_arguments", {})
-        if not isinstance(raw_gold, dict) or any(isinstance(v, (dict, list)) for v in raw_gold.values()):
+        if not isinstance(raw_gold, dict) or any(v is None or isinstance(v, (dict, list)) for v in raw_gold.values()):
             raise DatasetInvalid(
-                f"dialogue {obj.get('id')!r}: gold_arguments must be an object of scalar values"
+                f"dialogue {obj.get('id')!r}: gold_arguments must be an object of non-null scalar values"
             )
+        if not all(isinstance(obj[name], str) for name in ("id", "domain", "target_api")):
+            raise DatasetInvalid(f"dialogue {obj.get('id')!r}: id, domain and target_api must be strings")
         gold = ArgumentMap.from_dict(raw_gold)
         return Dialogue(
-            id=str(obj["id"]),
-            domain=str(obj["domain"]),
-            target_api=str(obj["target_api"]),
+            id=obj["id"],
+            domain=obj["domain"],
+            target_api=obj["target_api"],
             turns=turns,
             gold_arguments=gold,
         )

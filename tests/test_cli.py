@@ -1,13 +1,19 @@
 import csv
 import io
 import json
+import logging
 import sys
+import threading
+import time
 
 import pytest
 
+from arground import cli
 from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_error_panel, main
+from arground.generation import GenerationBackend, GenerationRecord, record_to_obj
 from arground.metrics import evaluate_corpus
-from arground.schema import ArgumentMap, dump_dialogues, dump_schema_catalog
+from arground.prompting import default_request
+from arground.schema import ArgumentMap, dialogue_from_obj, dump_dialogues, dump_schema_catalog, load_dialogues
 from arground.scoring import classify_errors
 
 from conftest import make_dialogue
@@ -226,6 +232,15 @@ def test_k_zero_is_usage_error(tmp_path, hair_catalog):
     assert main(argv) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("in_flight", ["0", "-2"])
+@pytest.mark.parametrize("command", ["fill-default", "fill-multistep", "reject-sample"])
+def test_in_flight_below_one_is_usage_error(command, in_flight, tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, _ = SUBCOMMANDS[command](tmp_path)
+    assert main([*argv, "--in-flight", in_flight]) == EXIT_USAGE
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "backend, log",
     [
@@ -262,8 +277,13 @@ _GOOD_RECORD = {"id": "d0", "domain": "salon", "target_api": "hair_appointment",
         {**_GOOD_RECORD, "turns": None},
         {**_GOOD_RECORD, "turns": "user: a haircut"},
         {**_GOOD_RECORD, "gold_arguments": {"name": {"first": "john"}}},
+        {**_GOOD_RECORD, "id": ["d0"]},
+        {**_GOOD_RECORD, "domain": {"x": 1}},
+        {**_GOOD_RECORD, "target_api": 7},
+        {**_GOOD_RECORD, "gold_arguments": {"name": None}},
     ],
-    ids=["gold-list", "numeric-utterance", "record-list", "turns-null", "turns-string", "gold-object-value"],
+    ids=["gold-list", "numeric-utterance", "record-list", "turns-null", "turns-string", "gold-object-value",
+         "id-list", "domain-object", "target-api-number", "gold-null"],
 )
 def test_malformed_dialogue_record_is_data_error(record, tmp_path, hair_catalog, capsys):
     _fixture_files(tmp_path, hair_catalog)
@@ -274,8 +294,94 @@ def test_malformed_dialogue_record_is_data_error(record, tmp_path, hair_catalog,
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_numeric_and_boolean_gold_values_become_strings():
+    record = {**_GOOD_RECORD, "gold_arguments": {"name": 3, "time": 2.5, "stylist": True}}
+    assert dialogue_from_obj(record).gold_arguments.as_dict() == {"name": "3", "time": "2.5", "stylist": "true"}
+
+
 def test_well_formed_dialogue_record_exports(tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
     _write_jsonl(tmp_path / "dialogues.jsonl", [_GOOD_RECORD])
     argv, _ = SUBCOMMANDS["export-sft"](tmp_path)
     assert main(argv) == EXIT_OK
+
+
+# --- backend failures and the dispatch loop ----------------------------------
+
+def _replay_log_without(d, hair_catalog, missing):
+    """A log answering the fixture's reject-sample and fill-default requests, except one dialogue's."""
+    schema = hair_catalog["hair_appointment"]
+    records = []
+    for dialogue in load_dialogues(d / "dialogues.jsonl", hair_catalog):
+        if dialogue.id == missing:
+            continue
+        answer = json.dumps(dialogue.gold_arguments.as_dict())
+        for request in (default_request(schema, dialogue, 2, 0.8, 256), default_request(schema, dialogue, 1, 0.0, 256)):
+            records.append(record_to_obj(GenerationRecord(request, [answer] * request.n_samples, "logged")))
+    _write_jsonl(d / "log.jsonl", records)
+    return f"replay:{d / 'log.jsonl'}"
+
+
+def test_reject_sample_skips_a_dialogue_whose_request_fails(tmp_path, hair_catalog, caplog):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, _ = SUBCOMMANDS["reject-sample"](tmp_path)
+    argv[argv.index("--backend") + 1] = _replay_log_without(tmp_path, hair_catalog, "d3")
+    with caplog.at_level(logging.WARNING):
+        assert main(argv) == EXIT_OK
+    rows = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [(r["dialogue_id"], r["source"]) for r in rows] == [
+        (f"d{i}", source) for i in range(6) for source in (("gold",) if i == 3 else ("gold", "sampled"))
+    ]
+    stats = json.loads((tmp_path / "out.jsonl.stats.json").read_text(encoding="utf-8"))
+    assert stats["skipped_dialogues"] == 1 and stats["generated"] == 10
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warning.startswith("skipping dialogue 'd3': ")
+
+
+@pytest.mark.parametrize("command, extra", [("reject-sample", ["--strict"]), ("fill-default", [])])
+def test_a_failed_request_exits_3_under_strict_and_in_fill(command, extra, tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, _ = SUBCOMMANDS[command](tmp_path)
+    argv[argv.index("--backend") + 1] = _replay_log_without(tmp_path, hair_catalog, "d3")
+    assert main([*argv, *extra]) == EXIT_BACKEND
+    assert "tag='d3'" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+class _SlowSlots(GenerationBackend):
+    """Answers slot requests after a delay that shrinks along the schema, so a
+    dialogue's later slots finish first; counts the calls inside ``generate``."""
+
+    backend_id = "slow"
+    answers = {"name": "person {}", "time": "NONE", "stylist": "jess"}
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.outstanding: list[str] = []
+        self.peak = 0
+        self.shared = False  # were two requests of one dialogue ever outstanding together?
+
+    def generate(self, request):
+        dialogue_id, slot = request.tag.split(":")
+        with self.lock:
+            self.outstanding.append(dialogue_id)
+            self.peak = max(self.peak, len(self.outstanding))
+            self.shared |= len(self.outstanding) == 2 and len(set(self.outstanding)) == 1
+        time.sleep((3 - list(self.answers).index(slot)) * 0.005)
+        with self.lock:
+            self.outstanding.remove(dialogue_id)
+        return GenerationRecord(request, (self.answers[slot].format(dialogue_id[1:]),), self.backend_id)
+
+
+def test_fill_multistep_keeps_at_most_in_flight_requests_outstanding(tmp_path, hair_catalog, monkeypatch):
+    _fixture_files(tmp_path, hair_catalog)
+    backend = _SlowSlots()
+    monkeypatch.setattr(cli, "backend_from_spec", lambda spec: backend)
+    argv, _ = SUBCOMMANDS["fill-multistep"](tmp_path)
+    assert main([*argv, "--in-flight", "2"]) == EXIT_OK
+    rows = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [(r["id"], r["arguments"]) for r in rows] == [
+        (f"d{i}", {"name": f"person {i}", "stylist": "jess"}) for i in range(6)
+    ]
+    assert backend.peak == 2
+    assert backend.shared

@@ -1,13 +1,25 @@
 import json
 import logging
 import socket
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from arground.errors import BackendError
-from arground.generation import GenerationRequest, HttpBackend
+from arground.generation import (
+    GenerationBackend,
+    GenerationRecord,
+    GenerationRequest,
+    HttpBackend,
+    MockBackend,
+    generate_all,
+)
+from arground.sampler import SamplerConfig, rejection_sample
+
+from conftest import make_dialogue
 
 
 class _FlakyStub(BaseHTTPRequestHandler):
@@ -77,3 +89,98 @@ def test_every_connection_retry_is_logged(monkeypatch, caplog):
     for attempt, message in enumerate(messages, start=1):
         assert message.startswith("retrying after connection error: ")
         assert message.endswith(f"(attempt {attempt}/2)")
+
+
+# --- generate_all: the one dispatch loop ----------------------------------------
+
+class _Counting(GenerationBackend):
+    """Echoes each request's tag and counts the calls inside ``generate``.
+
+    A request tagged ``fail`` raises ``BackendError``; a request's ``max_tokens``
+    is how many milliseconds it takes, so later requests can finish first.
+    """
+
+    backend_id = "counting"
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.outstanding: list[str] = []
+        self.peak = 0
+
+    def generate(self, request):
+        with self.lock:
+            self.outstanding.append(request.tag)
+            self.peak = max(self.peak, len(self.outstanding))
+        try:
+            time.sleep(request.max_tokens / 1000)
+            if request.tag == "fail":
+                raise BackendError("scripted failure")
+            return GenerationRecord(request, (request.tag,), self.backend_id)
+        finally:
+            with self.lock:
+                self.outstanding.remove(request.tag)
+
+
+def _tagged(*tags, ms=1):
+    return [GenerationRequest(prompt=tag, tag=tag, max_tokens=ms) for tag in tags]
+
+
+def test_generate_all_returns_records_grouped_in_request_order():
+    backend = _Counting()
+    groups = [_tagged("a0", "a1", ms=30), [], _tagged("c0", "c1", "c2", ms=10), _tagged("d0", ms=1)]
+    results = generate_all(backend, groups, in_flight=3)
+    assert [[r.outputs[0] for r in group] for group in results] == [
+        ["a0", "a1"], [], ["c0", "c1", "c2"], ["d0"]
+    ]
+    assert backend.peak == 3
+
+
+def test_generate_all_returns_a_backend_error_as_its_record():
+    results = generate_all(_Counting(), [_tagged("a"), _tagged("fail", "b")], in_flight=2)
+    assert results[0][0].outputs == ("a",)
+    assert isinstance(results[1][0], BackendError) and str(results[1][0]) == "scripted failure"
+    assert results[1][1].outputs == ("b",)
+
+
+@pytest.mark.parametrize("in_flight", [0, -2])
+def test_generate_all_rejects_in_flight_below_one(in_flight):
+    with pytest.raises(ValueError, match="in_flight"):
+        generate_all(_Counting(), [_tagged("a")], in_flight)
+
+
+def test_mock_backend_is_sent_one_request_at_a_time():
+    class CountingMock(MockBackend):
+        def __init__(self, outputs):
+            super().__init__(outputs)
+            self.counter = _Counting()
+
+        def generate(self, request):
+            self.counter.generate(request)
+            return super().generate(request)
+
+    backend = CountingMock([f"out {i}" for i in range(8)])
+    results = generate_all(backend, [_tagged(f"r{i}", f"s{i}") for i in range(4)], in_flight=4)
+    assert [r.outputs[0] for group in results for r in group] == [f"out {i}" for i in range(8)]
+    assert backend.counter.peak == 1
+
+
+def test_mock_rejection_sample_is_deterministic_at_the_default_in_flight(hair_catalog):
+    dialogues = [
+        make_dialogue(f"d{i:02d}", "salon", "hair_appointment", {"name": f"person {i}"})
+        for i in range(40)
+    ]
+    # per dialogue: its own name (kept) and another dialogue's name (rejected)
+    script = [o for i in range(40) for o in (f'{{"name": "person {i}"}}', f'{{"name": "someone {i}"}}')]
+
+    def sample(config):
+        return rejection_sample(MockBackend(script), dialogues, hair_catalog, config)
+
+    serial = sample(SamplerConfig(k=2, in_flight=1))
+    assert serial[1].kept == 40 and serial[1].rejected == 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [sample(SamplerConfig(k=2)) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [serial] * 3

@@ -7,13 +7,14 @@ import pytest
 
 from arground import prompting
 from arground.errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
-from arground.generation import MockBackend
+from arground.generation import MockBackend, generate_all
 from arground.prompting import (
     build_default_prompt,
     build_slot_prompt,
     load_template,
+    multistep_map,
     parse_slot_response,
-    run_multistep,
+    slot_requests,
     template_hashes,
 )
 from arground.schema import ApiSchema, SlotSpec
@@ -105,28 +106,33 @@ class TestParseSlotResponse:
             parse_slot_response("\n   \n")
 
 
+def _multistep(backend, schema, dialogue):
+    (records,) = generate_all(backend, [slot_requests(schema, dialogue, 0.0, 64)])
+    return multistep_map(schema, dialogue, records), records
+
+
 class TestMultistep:
     def test_scripted_assembly(self, hair_schema, hair_dialogue):
         backend = MockBackend(["john", "3pm", "NONE"])
-        result, transcript = run_multistep(backend, hair_schema, hair_dialogue)
+        result, transcript = _multistep(backend, hair_schema, hair_dialogue)
         assert result.as_dict() == {"name": "john", "time": "3pm"}
         assert len(transcript) == 3
         assert transcript[0].request.tag == "d1:name"
 
     def test_all_none(self, hair_schema, hair_dialogue):
         backend = MockBackend(["NONE", "NONE", "NONE"])
-        result, _ = run_multistep(backend, hair_schema, hair_dialogue)
+        result, _ = _multistep(backend, hair_schema, hair_dialogue)
         assert len(result) == 0
 
     def test_backend_error_names_slot(self, hair_schema, hair_dialogue):
         backend = MockBackend(["john"])  # exhausted on the second slot
         with pytest.raises(BackendError) as exc:
-            run_multistep(backend, hair_schema, hair_dialogue)
+            _multistep(backend, hair_schema, hair_dialogue)
         assert exc.value.slot == "time"
 
     def test_empty_response_treated_absent(self, hair_schema, hair_dialogue):
         backend = MockBackend(["john", "   ", "jess"])
-        result, _ = run_multistep(backend, hair_schema, hair_dialogue)
+        result, _ = _multistep(backend, hair_schema, hair_dialogue)
         assert result.as_dict() == {"name": "john", "stylist": "jess"}
 
     def test_no_nk_by_construction(self, hair_schema):
@@ -138,7 +144,7 @@ class TestMultistep:
         ]
         backend = MockBackend(junk)
         for dialogue in dialogues:
-            result, _ = run_multistep(backend, hair_schema, dialogue)
+            result, _ = _multistep(backend, hair_schema, dialogue)
             breakdown = classify_errors(result, dialogue.gold_arguments, hair_schema)
             assert breakdown.n_nk == 0
 
