@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .fuzzy import values_match
 from .metrics import MetricsReport, char_f1, corpus_bleu, evaluate_corpus, fuzzy_match_rate
 from .parsing import ParseOutcome, extract_argument_map, serialize_argument_map
-from .prompting import PromptBundle, build_default_prompt, build_slot_prompt
+from .prompting import build_default_prompt, build_slot_prompt
 from .schema import (
     ApiSchema,
     ArgumentMap,
@@ -30,7 +30,6 @@ __all__ = [
     "ErrorBreakdown",
     "MetricsReport",
     "ParseOutcome",
-    "PromptBundle",
     "SamplerConfig",
     "SlotSpec",
     "TrainingExample",

@@ -1,11 +1,17 @@
 """Command-line entry point and report emission.
 
 Subcommands: export-sft, reject-sample, fill, evaluate, split, report.
-Every artifact is written atomically (temp file + rename) together with a
-run-metadata JSON recording the command, config hash, template hashes,
-and input hashes, so identical inputs always produce byte-identical
-outputs. Exit codes: 0 success, 1 usage error, 2 data error, 3 backend
-error.
+Each command returns its artifacts as an ordered ``{path: text}`` dict and
+writes nothing itself; ``_write_run`` writes each artifact atomically (temp
+file + rename), then ``<first artifact>.meta.json``. That run record is
+derived from the parsed arguments by one rule: ``command`` is the
+subcommand (with its kind for ``split``); ``config_hash`` covers every
+option except the command's input files, which its subparser names once
+in ``inputs``; ``input_hashes`` hashes the input files given; and
+``template_hash`` is recorded for the commands that build prompts
+(export-sft, reject-sample, fill). Identical inputs and options therefore
+produce byte-identical outputs. Exit codes: 0 success, 1 usage error,
+2 data error, 3 backend error.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import os
 import platform
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .errors import (
@@ -37,8 +45,8 @@ from .generation import DEFAULT_IN_FLIGHT, backend_from_spec, generate_all
 from .metrics import error_rates, evaluate_corpus, metrics_report_csv
 from .parsing import extract_argument_map
 from .prompting import default_request, multistep_map, slot_requests, template_hashes
-from .sampler import SamplerConfig, dump_training_examples, export_sft_dataset, rejection_sample
-from .schema import ArgumentMap, dump_dialogues, load_dialogues, load_schema_catalog
+from .sampler import SamplerConfig, export_sft_dataset, rejection_sample
+from .schema import ArgumentMap, dialogue_to_obj, load_dialogues, load_schema_catalog
 from .scoring import ErrorBreakdown, classify_errors
 from .splits import build_split_manifest, split_in_domain, split_out_of_domain
 
@@ -85,21 +93,23 @@ def _sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_metadata(
-    out_path,
-    command: str,
-    config: dict,
-    inputs: dict[str, str],
-    templates: dict[str, str] | None,
-) -> None:
+_PROMPT_COMMANDS = ("export-sft", "reject-sample", "fill")
+
+
+def _write_run(args, artifacts: dict[str, str]) -> None:
+    """Write each artifact atomically, then the run record next to the first."""
+    for path, text in artifacts.items():
+        _atomic_write(path, text)
+    excluded = {"command", "split_kind", "func", "inputs", *args.inputs}
+    config = {name: value for name, value in vars(args).items() if name not in excluded}
     meta = {
-        "command": command,
+        "command": " ".join(filter(None, (args.command, getattr(args, "split_kind", None)))),
         "config_hash": _sha256_text(json.dumps(config, sort_keys=True)),
-        "template_hash": templates,
-        "input_hashes": {name: _sha256_file(path) for name, path in inputs.items()},
+        "template_hash": template_hashes() if args.command in _PROMPT_COMMANDS else None,
+        "input_hashes": {name: _sha256_file(getattr(args, name)) for name in args.inputs if getattr(args, name)},
         "versions": {"arground": __version__, "python": platform.python_version()},
     }
-    _atomic_write(f"{out_path}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _atomic_write(f"{next(iter(artifacts))}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _jsonl_rows(path) -> list[dict]:
@@ -118,29 +128,20 @@ def _jsonl_rows(path) -> list[dict]:
     return rows
 
 
-def _dump_jsonl(rows: list[dict]) -> str:
+def _dump_jsonl(rows: Iterable[dict]) -> str:
     lines = [json.dumps(r, ensure_ascii=False) for r in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# --- subcommands -------------------------------------------------------------
+# --- subcommands: each returns its artifacts as {path: text} ---------------
 
-def _cmd_export_sft(args) -> int:
+def _cmd_export_sft(args) -> dict[str, str]:
     catalog = load_schema_catalog(args.schemas)
     dialogues = load_dialogues(args.dialogues, catalog)
-    examples = export_sft_dataset(dialogues, catalog)
-    _atomic_write(args.out, dump_training_examples(examples))
-    _write_metadata(
-        args.out,
-        "export-sft",
-        {"out": args.out},
-        {"dialogues": args.dialogues, "schemas": args.schemas},
-        template_hashes(),
-    )
-    return EXIT_OK
+    return {args.out: _dump_jsonl(map(asdict, export_sft_dataset(dialogues, catalog)))}
 
 
-def _cmd_reject_sample(args) -> int:
+def _cmd_reject_sample(args) -> dict[str, str]:
     catalog = load_schema_catalog(args.schemas)
     dialogues = load_dialogues(args.dialogues, catalog)
     backend = backend_from_spec(args.backend)
@@ -152,27 +153,13 @@ def _cmd_reject_sample(args) -> int:
         strict=args.strict,
     )
     augmented, stats = rejection_sample(backend, dialogues, catalog, config)
-    _atomic_write(args.out, dump_training_examples(augmented))
-    _atomic_write(f"{args.out}.stats.json", json.dumps(stats.to_obj(), indent=2) + "\n")
-    _write_metadata(
-        args.out,
-        "reject-sample",
-        {
-            "backend": args.backend,
-            "k": args.k,
-            "temperature": args.temperature,
-            "max_tokens": args.max_tokens,
-            "in_flight": args.in_flight,
-            "strict": args.strict,
-            "out": args.out,
-        },
-        {"dialogues": args.dialogues, "schemas": args.schemas},
-        template_hashes(),
-    )
-    return EXIT_OK
+    return {
+        args.out: _dump_jsonl(map(asdict, augmented)),
+        f"{args.out}.stats.json": json.dumps(asdict(stats), indent=2) + "\n",
+    }
 
 
-def _cmd_fill(args) -> int:
+def _cmd_fill(args) -> dict[str, str]:
     catalog = load_schema_catalog(args.schemas)
     dialogues = load_dialogues(args.dialogues, catalog)
     backend = backend_from_spec(args.backend)
@@ -203,26 +190,10 @@ def _cmd_fill(args) -> int:
             "arguments": arguments.as_dict(),
             "warnings": warnings,
         })
-
-    _atomic_write(args.out, _dump_jsonl(rows))
-    _write_metadata(
-        args.out,
-        "fill",
-        {
-            "mode": args.mode,
-            "backend": args.backend,
-            "temperature": args.temperature,
-            "max_tokens": args.max_tokens,
-            "in_flight": args.in_flight,
-            "out": args.out,
-        },
-        {"dialogues": args.dialogues, "schemas": args.schemas},
-        template_hashes(),
-    )
-    return EXIT_OK
+    return {args.out: _dump_jsonl(rows)}
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> dict[str, str]:
     catalog = load_schema_catalog(args.schemas)
     gold_dialogues = load_dialogues(args.gold, catalog)
     pred_rows = _jsonl_rows(args.pred)
@@ -263,23 +234,10 @@ def _cmd_evaluate(args) -> int:
     if not backend_label:
         models = {row.get("model", "") for row in pred_rows}
         backend_label = models.pop() if len(models) == 1 else ""
-    _atomic_write(args.out, metrics_report_csv(report, args.dataset, args.split, backend_label))
+    artifacts = {args.out: metrics_report_csv(report, args.dataset, args.split, backend_label)}
     if args.scored_out:
-        _atomic_write(args.scored_out, _dump_jsonl(scored_rows))
-    _write_metadata(
-        args.out,
-        "evaluate",
-        {
-            "dataset": args.dataset,
-            "split": args.split,
-            "backend_label": args.backend_label,
-            "out": args.out,
-            "scored_out": args.scored_out,
-        },
-        {"pred": args.pred, "gold": args.gold, "schemas": args.schemas},
-        None,
-    )
-    return EXIT_OK
+        artifacts[args.scored_out] = _dump_jsonl(scored_rows)
+    return artifacts
 
 
 def emit_error_panel(rows: list[dict], group_by: str) -> str:
@@ -303,17 +261,8 @@ def emit_error_panel(rows: list[dict], group_by: str) -> str:
     return buf.getvalue()
 
 
-def _cmd_report(args) -> int:
-    rows = _jsonl_rows(args.breakdowns)
-    _atomic_write(args.out, emit_error_panel(rows, args.group_by))
-    _write_metadata(
-        args.out,
-        "report",
-        {"group_by": args.group_by, "out": args.out},
-        {"breakdowns": args.breakdowns},
-        None,
-    )
-    return EXIT_OK
+def _cmd_report(args) -> dict[str, str]:
+    return {args.out: emit_error_panel(_jsonl_rows(args.breakdowns), args.group_by)}
 
 
 def _load_synonyms(path) -> dict[str, str]:
@@ -326,36 +275,27 @@ def _load_synonyms(path) -> dict[str, str]:
     return synonyms
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> dict[str, str]:
     catalog = load_schema_catalog(args.schemas) if args.schemas else None
     dialogues = load_dialogues(args.dialogues, catalog)
-    inputs = {"dialogues": args.dialogues}
-    if args.schemas:
-        inputs["schemas"] = args.schemas
     if args.split_kind == "in-domain":
         train, test = split_in_domain(dialogues, args.fraction, args.seed)
         manifest = build_split_manifest(
             "in-domain", train, test, seed=args.seed, test_fraction=args.fraction
         )
-        config = {"fraction": args.fraction, "seed": args.seed}
     else:
         holdout = [h for h in (s.strip() for s in args.holdout.split(",")) if h]
-        synonyms = None
-        if args.synonyms:
-            synonyms = _load_synonyms(args.synonyms)
-            inputs["synonyms"] = args.synonyms
+        synonyms = _load_synonyms(args.synonyms) if args.synonyms else None
         train, test = split_out_of_domain(dialogues, holdout, synonyms)
         manifest = build_split_manifest(
             "out-of-domain", train, test, holdout_domains=holdout, synonym_map=synonyms
         )
-        config = {"holdout": args.holdout, "synonyms": args.synonyms}
-
-    _atomic_write(args.out_train, dump_dialogues(train))
-    _atomic_write(args.out_test, dump_dialogues(test))
     manifest_path = args.manifest or str(Path(args.out_train).parent / "split_manifest.json")
-    _atomic_write(manifest_path, json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
-    _write_metadata(args.out_train, f"split {args.split_kind}", config, inputs, None)
-    return EXIT_OK
+    return {
+        args.out_train: _dump_jsonl(map(dialogue_to_obj, train)),
+        args.out_test: _dump_jsonl(map(dialogue_to_obj, test)),
+        manifest_path: json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
+    }
 
 
 # --- parser ------------------------------------------------------------------
@@ -375,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dialogues", required=True)
     p.add_argument("--schemas", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_sft)
+    p.set_defaults(func=_cmd_export_sft, inputs=("dialogues", "schemas"))
 
     p = sub.add_parser("reject-sample", help="sample K candidates, keep positive-reward ones")
     p.add_argument("--dialogues", required=True)
@@ -384,7 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--strict", action="store_true", help="backend failures abort the run")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reject_sample)
+    p.set_defaults(func=_cmd_reject_sample, inputs=("dialogues", "schemas"))
 
     p = sub.add_parser("fill", help="predict argument maps for dialogues")
     p.add_argument("--mode", choices=("default", "multistep"), default="default")
@@ -392,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--schemas", required=True)
     add_backend_flags(p, temperature_default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fill)
+    p.set_defaults(func=_cmd_fill, inputs=("dialogues", "schemas"))
 
     p = sub.add_parser("evaluate", help="score predictions and emit the metrics CSV")
     p.add_argument("--pred", required=True)
@@ -403,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="")
     p.add_argument("--backend-label", default="")
     p.add_argument("--scored-out", default="", help="also write predictions with embedded breakdowns")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, inputs=("pred", "gold", "schemas"))
 
     p = sub.add_parser("split", help="construct train/test splits")
     split_sub = p.add_subparsers(dest="split_kind", required=True)
@@ -417,16 +357,17 @@ def build_parser() -> _Parser:
         if kind == "in-domain":
             sp.add_argument("--fraction", type=float, required=True)
             sp.add_argument("--seed", type=int, required=True)
+            sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas"))
         else:
             sp.add_argument("--holdout", required=True, help="comma-separated domains")
             sp.add_argument("--synonyms", default="", help="JSON file mapping domain -> synonym")
-        sp.set_defaults(func=_cmd_split)
+            sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas", "synonyms"))
 
     p = sub.add_parser("report", help="emit the per-group error-rate panel CSV")
     p.add_argument("--breakdowns", required=True, help="scored predictions JSONL")
     p.add_argument("--group-by", choices=("model", "split"), required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, inputs=("breakdowns",))
 
     return parser
 
@@ -440,7 +381,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        _write_run(args, args.func(args))
+        return EXIT_OK
     except (BackendError, AuthError, LogCorrupt) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

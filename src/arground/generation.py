@@ -280,6 +280,8 @@ class HttpBackend(GenerationBackend):
             try:
                 data = response.json()
                 outputs = tuple(c["message"]["content"] for c in data["choices"])
+                if not all(isinstance(o, str) for o in outputs):
+                    raise TypeError("'content' must be a string")
             except (ValueError, KeyError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}")
             if len(outputs) != request.n_samples:

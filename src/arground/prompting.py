@@ -42,20 +42,11 @@ NONE_SENTINEL = "none"
 
 
 @dataclass(frozen=True)
-class PromptBundle:
-    text: str
-    schema_ref: str
-    dialogue_ref: str
-    mode: str  # "default" or "slot"
-    slot_name: str | None = None
+class Prompt:
+    """A rendered prompt. Callers read ``.text``; ``bench/corpus.py`` does too,
+    which is why the builders do not return the bare string yet."""
 
-    def __post_init__(self):
-        if self.mode not in ("default", "slot"):
-            raise ValueError(f"mode must be 'default' or 'slot', got {self.mode!r}")
-        if (self.mode == "slot") != (self.slot_name is not None):
-            raise ValueError("slot_name must be present exactly when mode='slot'")
-        if not self.text:
-            raise ValueError("prompt text is empty")
+    text: str
 
 
 @functools.cache
@@ -108,51 +99,38 @@ def slot_hint_block(slot: SlotSpec) -> str:
     return "\n".join(lines)
 
 
-def build_default_prompt(schema: ApiSchema, dialogue: Dialogue) -> PromptBundle:
+def _check_target(schema: ApiSchema, dialogue: Dialogue) -> None:
     if dialogue.target_api != schema.api_name:
         raise ApiMismatch(
             f"dialogue '{dialogue.id}' targets '{dialogue.target_api}', "
             f"not '{schema.api_name}'"
         )
-    text = render_template(
+
+
+def build_default_prompt(schema: ApiSchema, dialogue: Dialogue) -> Prompt:
+    _check_target(schema, dialogue)
+    return Prompt(render_template(
         load_template("default.txt"),
         {
             "instruction": DEFAULT_INSTRUCTION,
             "api_block": api_block(schema),
             "history": history_block(dialogue),
         },
-    )
-    return PromptBundle(
-        text=text,
-        schema_ref=schema.api_name,
-        dialogue_ref=dialogue.id,
-        mode="default",
-    )
+    ))
 
 
-def build_slot_prompt(schema: ApiSchema, dialogue: Dialogue, slot: SlotSpec) -> PromptBundle:
-    if dialogue.target_api != schema.api_name:
-        raise ApiMismatch(
-            f"dialogue '{dialogue.id}' targets '{dialogue.target_api}', "
-            f"not '{schema.api_name}'"
-        )
+def build_slot_prompt(schema: ApiSchema, dialogue: Dialogue, slot: SlotSpec) -> Prompt:
+    _check_target(schema, dialogue)
     if schema.slot(slot.name) != slot:
         raise UnknownSlot(f"slot '{slot.name}' is not part of schema '{schema.api_name}'")
-    text = render_template(
+    return Prompt(render_template(
         load_template("slot.txt"),
         {
             "instruction": SLOT_INSTRUCTION,
             "history": history_block(dialogue),
             "slot_hint": slot_hint_block(slot),
         },
-    )
-    return PromptBundle(
-        text=text,
-        schema_ref=schema.api_name,
-        dialogue_ref=dialogue.id,
-        mode="slot",
-        slot_name=slot.name,
-    )
+    ))
 
 
 def parse_slot_response(raw: str) -> str | None:

@@ -10,7 +10,6 @@ dropped or modified.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -32,15 +31,6 @@ class TrainingExample:
     reward: float
     dialogue_id: str
 
-    def to_obj(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "completion": self.completion,
-            "source": self.source,
-            "reward": self.reward,
-            "dialogue_id": self.dialogue_id,
-        }
-
 
 @dataclass
 class SamplerStats:
@@ -51,17 +41,6 @@ class SamplerStats:
     kept: int = 0
     skipped_dialogues: int = 0
     mean_kept_reward: float = 0.0
-
-    def to_obj(self) -> dict:
-        return {
-            "generated": self.generated,
-            "parse_failed": self.parse_failed,
-            "rejected": self.rejected,
-            "deduplicated": self.deduplicated,
-            "kept": self.kept,
-            "skipped_dialogues": self.skipped_dialogues,
-            "mean_kept_reward": self.mean_kept_reward,
-        }
 
 
 @dataclass(frozen=True)
@@ -97,10 +76,11 @@ def _gold_in_schema_order(dialogue: Dialogue, schema: ApiSchema) -> ArgumentMap:
     return ArgumentMap(ordered)
 
 
-def gold_training_example(dialogue: Dialogue, schema: ApiSchema) -> TrainingExample:
+def gold_training_example(dialogue: Dialogue, schema: ApiSchema, prompt: str) -> TrainingExample:
+    """The gold example for ``prompt``, the dialogue's default prompt."""
     ordered = _gold_in_schema_order(dialogue, schema)
     return TrainingExample(
-        prompt=build_default_prompt(schema, dialogue).text,
+        prompt=prompt,
         completion=serialize_argument_map(ordered, "given"),
         source="gold",
         reward=1.0,
@@ -112,7 +92,11 @@ def export_sft_dataset(
     dialogues: list[Dialogue], catalog: dict[str, ApiSchema]
 ) -> list[TrainingExample]:
     """One gold example per dialogue, in input order."""
-    return [gold_training_example(d, _schema_for(d, catalog)) for d in dialogues]
+    examples = []
+    for dialogue in dialogues:
+        schema = _schema_for(dialogue, catalog)
+        examples.append(gold_training_example(dialogue, schema, build_default_prompt(schema, dialogue).text))
+    return examples
 
 
 def rejection_sample(
@@ -128,12 +112,13 @@ def rejection_sample(
     generation order.
     """
     stats = SamplerStats()
-    # Validate gold against schema up front; a dataset bug is fatal.
-    golds = [gold_training_example(d, _schema_for(d, catalog)) for d in dialogues]
-    groups = [
-        [default_request(catalog[d.target_api], d, config.k, config.temperature, config.max_tokens)]
-        for d in dialogues
-    ]
+    # Validate every dialogue before any request is sent; a dataset bug is fatal.
+    golds, groups = [], []
+    for dialogue in dialogues:
+        schema = _schema_for(dialogue, catalog)
+        request = default_request(schema, dialogue, config.k, config.temperature, config.max_tokens)
+        golds.append(gold_training_example(dialogue, schema, request.prompt))
+        groups.append([request])
     records = generate_all(backend, groups, config.in_flight)
 
     augmented: list[TrainingExample] = []
@@ -179,8 +164,3 @@ def rejection_sample(
         augmented.extend(kept)
     stats.mean_kept_reward = reward_sum / stats.kept if stats.kept else 0.0
     return augmented, stats
-
-
-def dump_training_examples(examples: list[TrainingExample]) -> str:
-    lines = [json.dumps(e.to_obj(), ensure_ascii=False) for e in examples]
-    return "\n".join(lines) + ("\n" if lines else "")

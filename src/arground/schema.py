@@ -302,12 +302,7 @@ class Dialogue:
 def _read_source(source) -> str:
     if isinstance(source, (str, Path)):
         return Path(source).read_text(encoding="utf-8")
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source).decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    return source.read()
 
 
 def _schema_from_obj(obj: dict) -> ApiSchema:
@@ -432,8 +427,3 @@ def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[
             )
         dialogues.append(dialogue)
     return dialogues
-
-
-def dump_dialogues(dialogues: Iterable[Dialogue]) -> str:
-    lines = [json.dumps(dialogue_to_obj(d), ensure_ascii=False) for d in dialogues]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from arground.schema import ApiSchema, ArgumentMap, Dialogue, DialogueTurn, SlotSpec
@@ -49,3 +51,8 @@ def make_dialogue(ident, domain, api, gold, n_turns=2):
         turns=tuple(turns),
         gold_arguments=ArgumentMap.from_dict(gold),
     )
+
+
+def jsonl(rows) -> str:
+    """One JSON object per line, the layout of the program's JSONL files."""
+    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)

@@ -2,30 +2,32 @@ import csv
 import io
 import json
 import logging
+import shutil
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from arground import cli
 from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_error_panel, main
-from arground.generation import GenerationBackend, GenerationRecord, record_to_obj
+from arground.generation import GenerationBackend, GenerationRecord, MockBackend, record_to_obj
 from arground.metrics import evaluate_corpus
-from arground.prompting import default_request
-from arground.schema import ArgumentMap, dialogue_from_obj, dump_dialogues, dump_schema_catalog, load_dialogues
+from arground.prompting import default_request, template_hashes
+from arground.schema import ArgumentMap, dialogue_from_obj, dialogue_to_obj, dump_schema_catalog, load_dialogues
 from arground.scoring import classify_errors
 
-from conftest import make_dialogue
+from conftest import jsonl, make_dialogue
 
 
 def _write_jsonl(path, rows):
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    path.write_text(jsonl(rows), encoding="utf-8")
 
 
 def _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, arguments):
     (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
-    (tmp_path / "gold.jsonl").write_text(dump_dialogues([hair_dialogue]), encoding="utf-8")
+    _write_jsonl(tmp_path / "gold.jsonl", [dialogue_to_obj(hair_dialogue)])
     _write_jsonl(tmp_path / "pred.jsonl", [{"id": hair_dialogue.id, "arguments": arguments}])
     return [
         "evaluate",
@@ -93,7 +95,7 @@ def test_mock_fill_is_deterministic_at_any_in_flight(tmp_path, hair_catalog):
         for i in range(40)
     ]
     (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
-    (tmp_path / "dialogues.jsonl").write_text(dump_dialogues(dialogues), encoding="utf-8")
+    _write_jsonl(tmp_path / "dialogues.jsonl", map(dialogue_to_obj, dialogues))
     _write_jsonl(tmp_path / "script.jsonl", [f'{{"name": "person {i}"}}' for i in range(40)])
 
     def fill(in_flight, name):
@@ -126,7 +128,7 @@ def _fixture_files(d, hair_catalog):
         for i in range(6)
     ]
     (d / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
-    (d / "dialogues.jsonl").write_text(dump_dialogues(dialogues), encoding="utf-8")
+    _write_jsonl(d / "dialogues.jsonl", map(dialogue_to_obj, dialogues))
     _write_jsonl(d / "default.script", [f'{{"name": "person {i}"}}' if i % 3 else "no idea" for i in range(6)])
     _write_jsonl(d / "multistep.script", [r for i in range(6) for r in (f"person {i}", "NONE", "jess")])
     # per dialogue: one kept candidate, then an unparseable one or a duplicate
@@ -145,41 +147,60 @@ def _common(d):
     return ["--dialogues", str(d / "dialogues.jsonl"), "--schemas", str(d / "catalog.json")]
 
 
-def _split(kind, extra):
+def _backend_changes(d):
+    return {"--backend": f"mock:{d / 'other.script'}", "--temperature": "0.5", "--max-tokens": "64",
+            "--in-flight": "2", "--out": str(d / "other.jsonl")}
+
+
+def _split(kind, extra, changes):
     def argv(d):
         return (["split", kind, *_common(d), "--out-train", str(d / "train.jsonl"),
                  "--out-test", str(d / "test.jsonl"), *extra(d)],
-                ["train.jsonl", "test.jsonl", "split_manifest.json", "train.jsonl.meta.json"])
+                ["train.jsonl", "test.jsonl", "split_manifest.json", "train.jsonl.meta.json"],
+                f"split {kind}",
+                {"--out-train": str(d / "other.jsonl"), "--out-test": str(d / "other_test.jsonl"),
+                 "--manifest": str(d / "other_manifest.json"), **changes})
     return argv
 
 
+# name -> (argv, artifacts, the run record's command, {option: a different value} for
+# every option its config_hash covers; None adds a switch)
 SUBCOMMANDS = {
     "export-sft": lambda d: (["export-sft", *_common(d), "--out", str(d / "out.jsonl")],
-                             ["out.jsonl", "out.jsonl.meta.json"]),
+                             ["out.jsonl", "out.jsonl.meta.json"], "export-sft",
+                             {"--out": str(d / "other.jsonl")}),
     "fill-default": lambda d: (["fill", *_common(d), "--backend", f"mock:{d / 'default.script'}",
-                                "--out", str(d / "out.jsonl")], ["out.jsonl", "out.jsonl.meta.json"]),
+                                "--out", str(d / "out.jsonl")], ["out.jsonl", "out.jsonl.meta.json"], "fill",
+                               {"--mode": "multistep", **_backend_changes(d)}),
     "fill-multistep": lambda d: (["fill", "--mode", "multistep", *_common(d), "--backend",
                                   f"mock:{d / 'multistep.script'}", "--out", str(d / "out.jsonl")],
-                                 ["out.jsonl", "out.jsonl.meta.json"]),
+                                 ["out.jsonl", "out.jsonl.meta.json"], "fill",
+                                 {"--mode": "default", **_backend_changes(d)}),
     "reject-sample": lambda d: (["reject-sample", *_common(d), "--backend", f"mock:{d / 'sample.script'}",
                                  "--k", "2", "--out", str(d / "out.jsonl")],
-                                ["out.jsonl", "out.jsonl.stats.json", "out.jsonl.meta.json"]),
+                                ["out.jsonl", "out.jsonl.stats.json", "out.jsonl.meta.json"], "reject-sample",
+                                {"--k": "1", "--strict": None, **_backend_changes(d)}),
     "evaluate": lambda d: (["evaluate", "--pred", str(d / "pred.jsonl"), "--gold", str(d / "dialogues.jsonl"),
                             "--schemas", str(d / "catalog.json"), "--out", str(d / "metrics.csv"),
                             "--scored-out", str(d / "out.jsonl")],
-                           ["metrics.csv", "out.jsonl", "metrics.csv.meta.json"]),
+                           ["metrics.csv", "out.jsonl", "metrics.csv.meta.json"], "evaluate",
+                           {"--out": str(d / "other.csv"), "--scored-out": str(d / "other.jsonl"),
+                            "--dataset": "sgd", "--split": "test", "--backend-label": "m2"}),
     "report": lambda d: (["report", "--breakdowns", str(d / "scored.jsonl"), "--group-by", "split",
-                          "--out", str(d / "panel.csv")], ["panel.csv", "panel.csv.meta.json"]),
-    "split-in-domain": _split("in-domain", lambda d: ["--fraction", "0.5", "--seed", "3"]),
+                          "--out", str(d / "panel.csv")], ["panel.csv", "panel.csv.meta.json"], "report",
+                         {"--group-by": "model", "--out": str(d / "other.csv")}),
+    "split-in-domain": _split("in-domain", lambda d: ["--fraction", "0.5", "--seed", "3"],
+                              {"--fraction": "0.25", "--seed": "4"}),
     "split-out-of-domain": _split("out-of-domain", lambda d: ["--holdout", "barber",
-                                                              "--synonyms", str(d / "synonyms.json")]),
+                                                              "--synonyms", str(d / "synonyms.json")],
+                                  {"--holdout": "salon"}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_rerun_is_byte_identical(name, tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
-    argv, artifacts = SUBCOMMANDS[name](tmp_path)
+    argv, artifacts, *_ = SUBCOMMANDS[name](tmp_path)
 
     def run():
         assert main(argv) == EXIT_OK
@@ -190,9 +211,49 @@ def test_rerun_is_byte_identical(name, tmp_path, hair_catalog):
     assert run() == first
 
 
+def _with_option(argv, flag, value):
+    if flag not in argv:
+        return [*argv, flag] if value is None else [*argv, flag, value]
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_run_record_follows_the_options_not_the_input_paths(name, tmp_path, hair_catalog, monkeypatch):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, artifacts, command, changes = SUBCOMMANDS[name](tmp_path)
+    inputs = [flag for flag, value in zip(argv, argv[1:]) if flag.startswith("--") and Path(value).is_file()]
+    options = set(vars(cli.build_parser().parse_args(argv))) - {"command", "split_kind", "func", "inputs"}
+    assert options == {flag[2:].replace("-", "_") for flag in [*changes, *inputs]}
+    # a backend that answers any mode and any k, so every changed option still runs
+    monkeypatch.setattr(cli, "backend_from_spec", lambda spec: MockBackend(["{}"] * 40))
+    first = str(tmp_path / artifacts[-1].removesuffix(".meta.json"))
+
+    def record(argv, artifact=first):
+        assert main(argv) == EXIT_OK
+        return json.loads(Path(f"{artifact}.meta.json").read_text(encoding="utf-8"))
+
+    base = record(argv)
+    assert base["command"] == command
+    prompts = command in ("export-sft", "reject-sample", "fill")
+    assert base["template_hash"] == (template_hashes() if prompts else None)
+    assert set(base["input_hashes"]) == {flag[2:] for flag in inputs}
+
+    for flag, value in changes.items():
+        artifact = value if flag in argv and argv[argv.index(flag) + 1] == first else first
+        assert record(_with_option(argv, flag, value), artifact)["config_hash"] != base["config_hash"], flag
+
+    (tmp_path / "copies").mkdir()
+    for flag in inputs:
+        path = argv[argv.index(flag) + 1]
+        copy = shutil.copy(path, tmp_path / "copies" / Path(path).name)
+        moved = record(_with_option(argv, flag, str(copy)))
+        assert (moved["config_hash"], moved["input_hashes"]) == (base["config_hash"], base["input_hashes"]), flag
+
+
 def test_split_in_domain_writes_all_four_files(tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
-    argv, artifacts = SUBCOMMANDS["split-in-domain"](tmp_path)
+    argv, artifacts, *_ = SUBCOMMANDS["split-in-domain"](tmp_path)
     assert main(argv) == EXIT_OK
     assert all((tmp_path / a).exists() for a in artifacts)
     manifest = json.loads((tmp_path / "split_manifest.json").read_text(encoding="utf-8"))
@@ -203,7 +264,7 @@ def test_split_in_domain_writes_all_four_files(tmp_path, hair_catalog):
 def test_malformed_synonyms_is_data_error(synonyms, tmp_path, hair_catalog, capsys):
     _fixture_files(tmp_path, hair_catalog)
     (tmp_path / "synonyms.json").write_text(synonyms, encoding="utf-8")
-    argv, _ = SUBCOMMANDS["split-out-of-domain"](tmp_path)
+    argv, *_ = SUBCOMMANDS["split-out-of-domain"](tmp_path)
     assert main(argv) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
 
@@ -212,7 +273,7 @@ def test_malformed_synonyms_is_data_error(synonyms, tmp_path, hair_catalog, caps
 def test_malformed_prediction_row_is_data_error(row, tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
     _write_jsonl(tmp_path / "pred.jsonl", [row, *({"id": f"d{i}", "arguments": {}} for i in range(1, 6))])
-    argv, _ = SUBCOMMANDS["evaluate"](tmp_path)
+    argv, *_ = SUBCOMMANDS["evaluate"](tmp_path)
     assert main(argv) == EXIT_DATA
     assert not (tmp_path / "metrics.csv").exists()
 
@@ -220,14 +281,14 @@ def test_malformed_prediction_row_is_data_error(row, tmp_path, hair_catalog):
 def test_report_row_that_is_not_an_object_is_data_error(tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
     _write_jsonl(tmp_path / "scored.jsonl", ["breakdown"])
-    argv, _ = SUBCOMMANDS["report"](tmp_path)
+    argv, *_ = SUBCOMMANDS["report"](tmp_path)
     assert main(argv) == EXIT_DATA
     assert not (tmp_path / "panel.csv").exists()
 
 
 def test_k_zero_is_usage_error(tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
-    argv, _ = SUBCOMMANDS["reject-sample"](tmp_path)
+    argv, *_ = SUBCOMMANDS["reject-sample"](tmp_path)
     argv[argv.index("--k") + 1] = "0"
     assert main(argv) == EXIT_USAGE
 
@@ -236,7 +297,7 @@ def test_k_zero_is_usage_error(tmp_path, hair_catalog):
 @pytest.mark.parametrize("command", ["fill-default", "fill-multistep", "reject-sample"])
 def test_in_flight_below_one_is_usage_error(command, in_flight, tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
-    argv, _ = SUBCOMMANDS[command](tmp_path)
+    argv, *_ = SUBCOMMANDS[command](tmp_path)
     assert main([*argv, "--in-flight", in_flight]) == EXIT_USAGE
     assert not (tmp_path / "out.jsonl").exists()
 
@@ -256,7 +317,7 @@ def test_backend_failures_exit_3(backend, log, tmp_path, hair_catalog, monkeypat
     monkeypatch.delenv("ARGROUND_API_KEY", raising=False)
     _fixture_files(tmp_path, hair_catalog)
     (tmp_path / "log.jsonl").write_text(log, encoding="utf-8")
-    argv, _ = SUBCOMMANDS["fill-default"](tmp_path)
+    argv, *_ = SUBCOMMANDS["fill-default"](tmp_path)
     argv[argv.index("--backend") + 1] = backend.format(d=tmp_path)
     assert main(argv) == EXIT_BACKEND
     assert "backend error" in capsys.readouterr().err
@@ -288,7 +349,7 @@ _GOOD_RECORD = {"id": "d0", "domain": "salon", "target_api": "hair_appointment",
 def test_malformed_dialogue_record_is_data_error(record, tmp_path, hair_catalog, capsys):
     _fixture_files(tmp_path, hair_catalog)
     _write_jsonl(tmp_path / "dialogues.jsonl", [record])
-    argv, _ = SUBCOMMANDS["export-sft"](tmp_path)
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
     assert main(argv) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
@@ -302,7 +363,7 @@ def test_numeric_and_boolean_gold_values_become_strings():
 def test_well_formed_dialogue_record_exports(tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
     _write_jsonl(tmp_path / "dialogues.jsonl", [_GOOD_RECORD])
-    argv, _ = SUBCOMMANDS["export-sft"](tmp_path)
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
     assert main(argv) == EXIT_OK
 
 
@@ -324,7 +385,7 @@ def _replay_log_without(d, hair_catalog, missing):
 
 def test_reject_sample_skips_a_dialogue_whose_request_fails(tmp_path, hair_catalog, caplog):
     _fixture_files(tmp_path, hair_catalog)
-    argv, _ = SUBCOMMANDS["reject-sample"](tmp_path)
+    argv, *_ = SUBCOMMANDS["reject-sample"](tmp_path)
     argv[argv.index("--backend") + 1] = _replay_log_without(tmp_path, hair_catalog, "d3")
     with caplog.at_level(logging.WARNING):
         assert main(argv) == EXIT_OK
@@ -341,7 +402,7 @@ def test_reject_sample_skips_a_dialogue_whose_request_fails(tmp_path, hair_catal
 @pytest.mark.parametrize("command, extra", [("reject-sample", ["--strict"]), ("fill-default", [])])
 def test_a_failed_request_exits_3_under_strict_and_in_fill(command, extra, tmp_path, hair_catalog, capsys):
     _fixture_files(tmp_path, hair_catalog)
-    argv, _ = SUBCOMMANDS[command](tmp_path)
+    argv, *_ = SUBCOMMANDS[command](tmp_path)
     argv[argv.index("--backend") + 1] = _replay_log_without(tmp_path, hair_catalog, "d3")
     assert main([*argv, *extra]) == EXIT_BACKEND
     assert "tag='d3'" in capsys.readouterr().err
@@ -377,7 +438,7 @@ def test_fill_multistep_keeps_at_most_in_flight_requests_outstanding(tmp_path, h
     _fixture_files(tmp_path, hair_catalog)
     backend = _SlowSlots()
     monkeypatch.setattr(cli, "backend_from_spec", lambda spec: backend)
-    argv, _ = SUBCOMMANDS["fill-multistep"](tmp_path)
+    argv, *_ = SUBCOMMANDS["fill-multistep"](tmp_path)
     assert main([*argv, "--in-flight", "2"]) == EXIT_OK
     rows = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [(r["id"], r["arguments"]) for r in rows] == [

@@ -8,7 +8,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from arground.errors import BackendError
+from arground import prompting, sampler
+from arground.cli import EXIT_BACKEND, EXIT_OK, main
+from arground.errors import BackendError, DatasetInvalid
 from arground.generation import (
     GenerationBackend,
     GenerationRecord,
@@ -16,25 +18,31 @@ from arground.generation import (
     HttpBackend,
     MockBackend,
     generate_all,
+    open_replay,
 )
 from arground.sampler import SamplerConfig, rejection_sample
+from arground.schema import dialogue_to_obj, dump_schema_catalog
 
-from conftest import make_dialogue
+from conftest import jsonl, make_dialogue
 
 
 class _FlakyStub(BaseHTTPRequestHandler):
-    """Answers each POST with the next status of ``statuses``; 200 carries one completion."""
+    """Answers each POST with the next status of ``statuses``. A 200 carries ``n``
+    choices whose content is the next of ``contents``, or ``{"name": "john"}``
+    once they run out."""
 
     statuses: list[int] = []
+    contents: list = []
     requests = 0
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests += 1
         status = type(self).statuses.pop(0)
         body = b"{}"
         if status == 200:
-            body = json.dumps({"choices": [{"message": {"content": '{"name": "john"}'}}]}).encode()
+            content = type(self).contents.pop(0) if type(self).contents else '{"name": "john"}'
+            body = json.dumps({"choices": [{"message": {"content": content}}] * payload["n"]}).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -50,7 +58,7 @@ def flaky_stub(monkeypatch):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyStub)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    _FlakyStub.requests = 0
+    _FlakyStub.requests, _FlakyStub.contents = 0, []
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     yield server.server_address[1]
     server.shutdown()
@@ -89,6 +97,40 @@ def test_every_connection_retry_is_logged(monkeypatch, caplog):
     for attempt, message in enumerate(messages, start=1):
         assert message.startswith("retrying after connection error: ")
         assert message.endswith(f"(attempt {attempt}/2)")
+
+
+def _http_argv(command, port, d, hair_catalog, monkeypatch):
+    """``command`` on three dialogues against the stub, one request at a time, recording to ``d/log.jsonl``."""
+    monkeypatch.setenv("ARGROUND_API_KEY", "test-key")
+    monkeypatch.setenv("ARGROUND_BASE_URL", f"http://127.0.0.1:{port}")
+    monkeypatch.setenv("ARGROUND_MODEL", "stub")
+    dialogues = [make_dialogue(f"d{i}", "salon", "hair_appointment", {"name": "john"}) for i in range(3)]
+    (d / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    (d / "dialogues.jsonl").write_text(jsonl(map(dialogue_to_obj, dialogues)), encoding="utf-8")
+    return [command, "--dialogues", str(d / "dialogues.jsonl"), "--schemas", str(d / "catalog.json"),
+            "--backend", f"record:{d / 'log.jsonl'}", "--in-flight", "1", "--out", str(d / "out.jsonl")]
+
+
+def test_fill_on_a_null_completion_exits_3_and_logs_no_bad_record(flaky_stub, tmp_path, hair_catalog,
+                                                                   monkeypatch, capsys):
+    _FlakyStub.statuses, _FlakyStub.contents = [200] * 3, ['{"name": "john"}', None]
+    assert main(_http_argv("fill", flaky_stub, tmp_path, hair_catalog, monkeypatch)) == EXIT_BACKEND
+    assert "malformed completion response" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+    open_replay(tmp_path / "log.jsonl")  # no LogCorrupt
+    assert len((tmp_path / "log.jsonl").read_text(encoding="utf-8").splitlines()) == 2  # d0 and d2
+
+
+def test_reject_sample_skips_a_dialogue_whose_completion_is_null(flaky_stub, tmp_path, hair_catalog,
+                                                                  monkeypatch, caplog):
+    _FlakyStub.statuses, _FlakyStub.contents = [200] * 3, ['{"name": "john"}', None]
+    argv = _http_argv("reject-sample", flaky_stub, tmp_path, hair_catalog, monkeypatch)
+    with caplog.at_level(logging.WARNING):
+        assert main([*argv, "--k", "2"]) == EXIT_OK
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warning.startswith("skipping dialogue 'd1': malformed completion response")
+    stats = json.loads((tmp_path / "out.jsonl.stats.json").read_text(encoding="utf-8"))
+    assert stats["skipped_dialogues"] == 1 and stats["generated"] == 4
 
 
 # --- generate_all: the one dispatch loop ----------------------------------------
@@ -184,3 +226,21 @@ def test_mock_rejection_sample_is_deterministic_at_the_default_in_flight(hair_ca
     finally:
         sys.setswitchinterval(interval)
     assert runs == [serial] * 3
+
+
+def test_rejection_sample_builds_each_default_prompt_once(hair_catalog, monkeypatch):
+    dialogues = [make_dialogue(f"d{i}", "salon", "hair_appointment", {"name": f"person {i}"}) for i in range(5)]
+    build, calls = prompting.build_default_prompt, []
+    for module in (prompting, sampler):  # every name the builder is bound to
+        monkeypatch.setattr(module, "build_default_prompt", lambda *args: calls.append(args) or build(*args))
+    augmented, _ = rejection_sample(MockBackend(['{"name": "x"}'] * 10), dialogues, hair_catalog, SamplerConfig(k=2))
+    assert len(calls) == len(dialogues)
+    schema = hair_catalog["hair_appointment"]
+    assert [e.prompt for e in augmented if e.source == "gold"] == [build(schema, d).text for d in dialogues]
+
+
+def test_rejection_sample_on_an_api_missing_from_the_catalog_is_dataset_invalid(hair_catalog):
+    dialogues = [make_dialogue("d0", "salon", "hair_appointment", {"name": "ann"}),
+                 make_dialogue("d1", "nails", "nail_appointment", {"colour": "red"})]
+    with pytest.raises(DatasetInvalid, match="nail_appointment"):
+        rejection_sample(MockBackend([]), dialogues, hair_catalog, SamplerConfig(k=1))

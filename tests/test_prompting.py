@@ -33,7 +33,6 @@ class TestDefaultPrompt:
         assert len(turn_lines) == 4
         assert slot_lines[0].startswith("- name (free-text):")
         assert turn_lines[0] == "User: I need a haircut tomorrow."
-        assert bundle.mode == "default" and bundle.slot_name is None
 
     def test_sections_in_order(self, hair_schema, hair_dialogue):
         text = build_default_prompt(hair_schema, hair_dialogue).text
@@ -77,10 +76,6 @@ class TestSlotPrompt:
         foreign = SlotSpec("color", "free-text", "nail color")
         with pytest.raises(UnknownSlot):
             build_slot_prompt(hair_schema, hair_dialogue, foreign)
-
-    def test_bundle_mode(self, hair_schema, hair_dialogue):
-        bundle = build_slot_prompt(hair_schema, hair_dialogue, hair_schema.slot("name"))
-        assert bundle.mode == "slot" and bundle.slot_name == "name"
 
 
 class TestParseSlotResponse:

@@ -21,12 +21,14 @@ from arground.schema import (
     SlotSpec,
     canonicalize_key,
     canonicalize_value,
-    dump_dialogues,
+    dialogue_to_obj,
     dump_schema_catalog,
     load_dialogues,
     load_schema_catalog,
     value_conforms_to_slot,
 )
+
+from conftest import jsonl
 
 CATALOG_JSON = json.dumps(
     [
@@ -46,6 +48,8 @@ CATALOG_JSON = json.dumps(
         }
     ]
 )
+
+from conftest import jsonl
 
 
 class TestCanonicalizeKey:
@@ -247,7 +251,7 @@ class TestArgumentMap:
 
 class TestDialogues:
     def test_load_and_dump(self, hair_catalog, hair_dialogue):
-        text = dump_dialogues([hair_dialogue])
+        text = jsonl([dialogue_to_obj(hair_dialogue)])
         loaded = load_dialogues(io.StringIO(text), hair_catalog)
         assert loaded == [hair_dialogue]
 
@@ -265,7 +269,7 @@ class TestDialogues:
             load_dialogues(io.StringIO(line), hair_catalog)
 
     def test_duplicate_id(self, hair_catalog, hair_dialogue):
-        text = dump_dialogues([hair_dialogue]) * 2
+        text = jsonl([dialogue_to_obj(hair_dialogue)] * 2)
         with pytest.raises(DatasetInvalid):
             load_dialogues(io.StringIO(text), hair_catalog)
 

@@ -11,9 +11,9 @@ from arground.cli import EXIT_OK, main
 from arground.errors import BackendError, LogCorrupt, ReplayMiss
 from arground.generation import GenerationRequest, MockBackend, open_replay
 from arground.sampler import SamplerConfig, rejection_sample
-from arground.schema import dump_dialogues, dump_schema_catalog
+from arground.schema import dialogue_to_obj, dump_schema_catalog
 
-from conftest import make_dialogue
+from conftest import jsonl, make_dialogue
 
 OUTPUTS = ['{"name": "ann"}', "no object here", '{"name": "bo", "stylist": "jess"}']
 
@@ -199,7 +199,7 @@ def stub(monkeypatch):
 
 def test_cli_record_then_replay_gives_the_same_rows(stub, hair_catalog, tmp_path):
     (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
-    (tmp_path / "dialogues.jsonl").write_text(dump_dialogues(_dialogues()), encoding="utf-8")
+    (tmp_path / "dialogues.jsonl").write_text(jsonl(map(dialogue_to_obj, _dialogues())), encoding="utf-8")
     log = tmp_path / "log.jsonl"
 
     def fill(backend, out):
@@ -225,7 +225,7 @@ def test_cli_record_then_replay_gives_the_same_rows(stub, hair_catalog, tmp_path
 
 def test_cli_reject_sample_on_a_recorded_log_matches_the_live_run(hair_catalog, tmp_path):
     (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
-    (tmp_path / "dialogues.jsonl").write_text(dump_dialogues(_dialogues()), encoding="utf-8")
+    (tmp_path / "dialogues.jsonl").write_text(jsonl(map(dialogue_to_obj, _dialogues())), encoding="utf-8")
     outputs = [f'{{"name": "{n}"}}' for n in ("ann", "ann", "bo", "x", "cy", "cy")]
     (tmp_path / "script.jsonl").write_text("".join(json.dumps(o) + "\n" for o in outputs), encoding="utf-8")
     log = tmp_path / "log.jsonl"
