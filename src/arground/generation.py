@@ -2,8 +2,14 @@
 
 Three backends share one ``generate(request) -> GenerationRecord`` surface:
 
-* ``HttpBackend``   - chat-completion wire format over HTTPS, with retry,
-                      exponential backoff, and a per-request timeout.
+* ``HttpBackend``   - chat-completion wire format over HTTP(S), with retry,
+                      exponential backoff or ``Retry-After``, and a
+                      per-request timeout. It uses the standard library's
+                      ``urllib.request``, one connection per request, with
+                      environment proxies and the system CA store,
+                      following no redirect; the
+                      module is imported at the first request, so set-up
+                      never pays for it.
 * ``MockBackend``   - deterministic scripted queue, for tests and demos.
 * ``ReplayBackend`` - the response store: a JSONL record log indexed by
                       request content hash, first record per key wins.
@@ -29,8 +35,10 @@ record or the ``BackendError`` it raised.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import logging
 import os
 import threading
@@ -48,6 +56,7 @@ DEFAULT_TIMEOUT = 60.0
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = 0.5
 DEFAULT_IN_FLIGHT = 4
+MAX_RETRY_AFTER_S = 30.0
 
 ENV_API_KEY = "ARGROUND_API_KEY"
 ENV_BASE_URL = "ARGROUND_BASE_URL"
@@ -65,8 +74,8 @@ class GenerationRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.max_tokens < 1:
@@ -197,13 +206,47 @@ class MockBackend(GenerationBackend):
         )
 
 
+def _retry_after(headers, backoff: float) -> float:
+    """The wait a 429 or 503 asks for: a numeric ``Retry-After`` capped at
+    ``MAX_RETRY_AFTER_S``, else (missing, an HTTP-date or bad) ``backoff``."""
+    value = (headers.get("Retry-After") or "").strip()
+    return min(float(value), MAX_RETRY_AFTER_S) if value.isascii() and value.isdigit() else backoff
+
+
+@functools.cache
+def _opener():
+    """``urllib.request``'s default opener, except that it follows no
+    redirect: a 3xx comes back as an ``HTTPError``. A redirected POST never
+    yields a completion (301-303 turn it into a bodiless GET, 307/308 are
+    refused), and following one would send the API key to whatever host,
+    or over whatever scheme, the ``Location`` names."""
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class NoRedirect(HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    return build_opener(NoRedirect)
+
+
 class HttpBackend(GenerationBackend):
     """Chat-completion client: POST {base}/chat/completions.
 
     Reads ARGROUND_API_KEY / ARGROUND_BASE_URL / ARGROUND_MODEL; a profile
-    string other than "default" overrides the model name. Transient
-    failures (connection errors, 429, 5xx) are retried with exponential
-    backoff; auth failures are not retried.
+    string other than "default" overrides the model name, and a base URL
+    that is not http:// or https:// is refused here, before any request.
+    Transient failures (connection errors, 429, 5xx) are retried with
+    exponential backoff, or after a 429's or 503's numeric ``Retry-After``
+    capped at ``MAX_RETRY_AFTER_S``; auth failures are not retried.
+
+    Each request is one ``urllib.request`` open on a connection of its
+    own; a redirect is not followed but raises ``BackendError``. Proxies come from the environment (HTTP(S)_PROXY, NO_PROXY), and
+    HTTPS is verified against the system CA store (``requests`` used
+    certifi's bundle). There is no keep-alive yet: the benchmark's stub
+    model writes a reply's headers and body in two sends, so on a reused
+    connection each reply waits for the client's delayed ACK, and a
+    ``multistep_http`` round took 6.2 s instead of 3.4 s. Reuse waits until
+    the stub sends a reply in one write.
     """
 
     backend_id = "http"
@@ -218,7 +261,13 @@ class HttpBackend(GenerationBackend):
         retries: int = DEFAULT_RETRIES,
         backoff: float = DEFAULT_BACKOFF,
     ):
-        self.base_url = (base_url or os.environ.get(ENV_BASE_URL) or DEFAULT_BASE_URL).rstrip("/")
+        from urllib.parse import urlsplit
+
+        url = base_url or os.environ.get(ENV_BASE_URL) or DEFAULT_BASE_URL
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise BackendError(f"base URL {url!r} is not an http:// or https:// URL with a host")
+        self.base_url = url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
         env_model = os.environ.get(ENV_MODEL, "")
         if model:
@@ -237,17 +286,24 @@ class HttpBackend(GenerationBackend):
         self.backend_id = f"http:{self.model}"
 
     def _post(self, payload: dict):
-        import requests
+        """POST ``payload`` as JSON; return the status, headers and body, whatever the status."""
+        from urllib.error import HTTPError
+        from urllib.request import Request
 
-        return requests.post(
+        request = Request(
             f"{self.base_url}/chat/completions",
-            json=payload,
-            headers={"Authorization": f"Bearer {self.api_key}"},
-            timeout=self.timeout,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json", "Authorization": f"Bearer {self.api_key}"},
         )
+        try:
+            with _opener().open(request, timeout=self.timeout) as response:
+                return response.status, response.headers, response.read()
+        except HTTPError as exc:
+            with exc:
+                return exc.code, exc.headers, exc.read()
 
     def generate(self, request: GenerationRequest) -> GenerationRecord:
-        import requests
+        from http.client import HTTPException
 
         payload = {
             "model": self.model,
@@ -263,23 +319,26 @@ class HttpBackend(GenerationBackend):
         last_error: str = ""
         for attempt in range(self.retries + 1):
             if attempt:
-                logger.warning("retrying after %s (attempt %d/%d)", last_error, attempt, self.retries)
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                logger.warning("retrying after %s (attempt %d/%d, retry in %g s)",
+                               last_error, attempt, self.retries, delay)
+                time.sleep(delay)
+            delay = self.backoff * 2**attempt
             try:
-                response = self._post(payload)
-            except requests.RequestException as exc:
+                status, headers, body = self._post(payload)
+            except (OSError, HTTPException) as exc:
                 last_error = f"connection error: {exc}"
                 continue
-            if response.status_code in (401, 403):
-                raise AuthError(f"authentication failed (HTTP {response.status_code})")
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = f"HTTP {response.status_code}"
+            if status in (401, 403):
+                raise AuthError(f"authentication failed (HTTP {status})")
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+                if status in (429, 503):
+                    delay = _retry_after(headers, delay)
                 continue
-            if not response.ok:
-                raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
+            if not 200 <= status < 300:
+                raise BackendError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
             try:
-                data = response.json()
-                outputs = tuple(c["message"]["content"] for c in data["choices"])
+                outputs = tuple(c["message"]["content"] for c in json.loads(body)["choices"])
                 if not all(isinstance(o, str) for o in outputs):
                     raise TypeError("'content' must be a string")
             except (ValueError, KeyError, TypeError) as exc:

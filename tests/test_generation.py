@@ -1,16 +1,20 @@
 import json
 import logging
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
-from arground import prompting, sampler
-from arground.cli import EXIT_BACKEND, EXIT_OK, main
-from arground.errors import BackendError, DatasetInvalid
+import arground
+from arground import generation, prompting, sampler
+from arground.cli import EXIT_BACKEND, EXIT_OK, EXIT_USAGE, main
+from arground.errors import AuthError, BackendError, DatasetInvalid
 from arground.generation import (
     GenerationBackend,
     GenerationRecord,
@@ -19,6 +23,7 @@ from arground.generation import (
     MockBackend,
     generate_all,
     open_replay,
+    record_to_obj,
 )
 from arground.sampler import SamplerConfig, rejection_sample
 from arground.schema import dialogue_to_obj, dump_schema_catalog
@@ -27,27 +32,42 @@ from conftest import jsonl, make_dialogue
 
 
 class _FlakyStub(BaseHTTPRequestHandler):
-    """Answers each POST with the next status of ``statuses``. A 200 carries ``n``
-    choices whose content is the next of ``contents``, or ``{"name": "john"}``
-    once they run out."""
+    """Answers each POST with the next reply of ``statuses``: a status, or a
+    ``(status, body, headers)`` triple. A bare 200 carries ``n`` choices whose
+    content is the next of ``contents``, or ``{"name": "john"}`` once they run
+    out; any other bare status carries ``{}``. Each request's headers and JSON
+    payload go to ``received``, and a reply first waits the next of ``delays``
+    seconds, if any are left."""
 
-    statuses: list[int] = []
+    statuses: list = []
     contents: list = []
+    delays: list[float] = []
+    received: list = []
     requests = 0
 
     def do_POST(self):
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).requests += 1
-        status = type(self).statuses.pop(0)
-        body = b"{}"
-        if status == 200:
-            content = type(self).contents.pop(0) if type(self).contents else '{"name": "john"}'
-            body = json.dumps({"choices": [{"message": {"content": content}}] * payload["n"]}).encode()
+        stub = type(self)
+        stub.requests += 1
+        stub.received.append((self.headers, payload))
+        reply = stub.statuses.pop(0)
+        status, body, headers = reply if isinstance(reply, tuple) else (reply, None, {})
+        if body is None:
+            body = b"{}"
+            if status == 200:
+                content = stub.contents.pop(0) if stub.contents else '{"name": "john"}'
+                body = json.dumps({"choices": [{"message": {"content": content}}] * payload["n"]}).encode()
+        if stub.delays:
+            time.sleep(stub.delays.pop(0))
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        for name, value in {"Content-Type": "application/json", **headers}.items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.wfile.write(body)
+        except ConnectionError:  # the client timed out and hung up
+            pass
 
     def log_message(self, *args):
         pass
@@ -58,16 +78,16 @@ def flaky_stub(monkeypatch):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyStub)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    _FlakyStub.requests, _FlakyStub.contents = 0, []
+    _FlakyStub.requests, _FlakyStub.contents, _FlakyStub.delays, _FlakyStub.received = 0, [], [], []
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     yield server.server_address[1]
     server.shutdown()
     server.server_close()
 
 
-def _backend(port, retries=3):
+def _backend(port, retries=3, backoff=0, **options):
     return HttpBackend(base_url=f"http://127.0.0.1:{port}", api_key="test-key", model="stub",
-                       retries=retries, backoff=0)
+                       retries=retries, backoff=backoff, **options)
 
 
 def _retry_messages(caplog):
@@ -81,7 +101,38 @@ def test_retry_after_503_is_logged(flaky_stub, caplog):
         record = _backend(flaky_stub).generate(GenerationRequest(prompt="fill the form"))
     assert record.outputs == ('{"name": "john"}',)
     assert _FlakyStub.requests == 2
-    assert _retry_messages(caplog) == ["retrying after HTTP 503 (attempt 1/3)"]
+    assert _retry_messages(caplog) == ["retrying after HTTP 503 (attempt 1/3, retry in 0 s)"]
+
+
+@pytest.mark.parametrize("status, retry_after, wait", [
+    (429, "2", 2.0),
+    (503, "2", 2.0),
+    (429, "0", 0.0),
+    (429, "9999", generation.MAX_RETRY_AFTER_S),
+    (429, "soon", 0.5),
+    (429, "-1", 0.5),
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+    (429, None, 0.5),
+    (502, "2", 0.5),
+], ids=["429", "503", "zero", "capped", "word", "negative", "http-date", "missing", "502-ignores-it"])
+def test_a_numeric_retry_after_sets_the_wait(flaky_stub, monkeypatch, caplog, status, retry_after, wait):
+    sleeps = []
+    monkeypatch.setattr(generation.time, "sleep", sleeps.append)
+    _FlakyStub.statuses = [(status, None, {"Retry-After": retry_after} if retry_after else {}), 200]
+    with caplog.at_level(logging.WARNING, logger="arground.generation"):
+        record = _backend(flaky_stub, backoff=0.5).generate(GenerationRequest(prompt="fill the form"))
+    assert record.outputs == ('{"name": "john"}',) and record.backend_id == "http:stub"
+    assert _FlakyStub.requests == 2
+    assert sleeps == [wait]
+    assert _retry_messages(caplog) == [f"retrying after HTTP {status} (attempt 1/3, retry in {wait:g} s)"]
+
+
+def test_backoff_doubles_between_attempts(flaky_stub, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(generation.time, "sleep", sleeps.append)
+    _FlakyStub.statuses = [500, (429, None, {"Retry-After": "7"}), 503, 200]
+    _backend(flaky_stub, backoff=0.5).generate(GenerationRequest(prompt="fill the form"))
+    assert sleeps == [0.5, 7.0, 2.0]
 
 
 def test_every_connection_retry_is_logged(monkeypatch, caplog):
@@ -96,7 +147,137 @@ def test_every_connection_retry_is_logged(monkeypatch, caplog):
     assert len(messages) == 2
     for attempt, message in enumerate(messages, start=1):
         assert message.startswith("retrying after connection error: ")
-        assert message.endswith(f"(attempt {attempt}/2)")
+        assert message.endswith(f"(attempt {attempt}/2, retry in 0 s)")
+
+
+# --- HttpBackend: every status path -----------------------------------------
+
+_LONG_BODY = b'{"error": "' + b"x" * 300 + b'"}'
+_TWO_CHOICES = json.dumps({"choices": [{"message": {"content": "a"}}, {"message": {"content": "b"}}]}).encode()
+
+
+@pytest.mark.parametrize("reply, error, message", [
+    (401, AuthError, "authentication failed (HTTP 401)"),
+    (403, AuthError, "authentication failed (HTTP 403)"),
+    ((400, _LONG_BODY, {}), BackendError, "HTTP 400: " + _LONG_BODY[:200].decode()),
+    ((404, b"no such model", {}), BackendError, "HTTP 404: no such model"),
+    ((200, b"not json", {}), BackendError,
+     "malformed completion response: Expecting value: line 1 column 1 (char 0)"),
+    ((200, b"{}", {}), BackendError, "malformed completion response: 'choices'"),
+    ((200, _TWO_CHOICES, {}), BackendError, "backend returned 2 outputs, expected 1"),
+], ids=["401", "403", "400", "404", "not-json", "no-choices", "two-choices"])
+def test_a_final_status_raises_after_one_request(flaky_stub, reply, error, message):
+    _FlakyStub.statuses = [reply]
+    with pytest.raises(error) as caught:
+        _backend(flaky_stub).generate(GenerationRequest(prompt="fill the form"))
+    assert type(caught.value) is error and str(caught.value) == message
+    assert _FlakyStub.requests == 1
+
+
+class _Elsewhere(BaseHTTPRequestHandler):
+    """Another host: records the headers of every request it is sent and answers a completion."""
+
+    received: list = []
+
+    def _answer(self):
+        type(self).received.append(self.headers)
+        body = json.dumps({"choices": [{"message": {"content": "{}"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_a_redirect_is_not_followed_and_the_key_stays_home(flaky_stub, status):
+    elsewhere = ThreadingHTTPServer(("127.0.0.1", 0), _Elsewhere)
+    threading.Thread(target=elsewhere.serve_forever, daemon=True).start()
+    _Elsewhere.received = []
+    location = f"http://127.0.0.1:{elsewhere.server_address[1]}/chat/completions"
+    _FlakyStub.statuses = [(status, b"moved", {"Location": location})]
+    try:
+        with pytest.raises(BackendError, match=f"^HTTP {status}: moved$"):
+            _backend(flaky_stub).generate(GenerationRequest(prompt="fill the form"))
+    finally:
+        elsewhere.shutdown()
+        elsewhere.server_close()
+    assert _FlakyStub.requests == 1
+    assert _Elsewhere.received == []
+
+
+def test_a_reply_slower_than_the_timeout_is_retried_as_a_connection_error(flaky_stub, caplog):
+    _FlakyStub.statuses, _FlakyStub.delays = [200, 200], [0.5]
+    with caplog.at_level(logging.WARNING, logger="arground.generation"):
+        record = _backend(flaky_stub, timeout=0.2).generate(GenerationRequest(prompt="fill the form"))
+    assert record.outputs == ('{"name": "john"}',)
+    assert _FlakyStub.requests == 2
+    (message,) = _retry_messages(caplog)
+    assert message.startswith("retrying after connection error: ")
+
+
+@pytest.mark.parametrize("stop", [(), ("\n", "}")])
+def test_the_request_carries_the_payload_and_headers(flaky_stub, stop):
+    _FlakyStub.statuses = [200]
+    request = GenerationRequest(prompt="fill the form", temperature=0.7, max_tokens=32, n_samples=2,
+                                stop_sequences=stop, tag="t")
+    assert _backend(flaky_stub).generate(request).outputs == ('{"name": "john"}',) * 2
+    ((headers, payload),) = _FlakyStub.received
+    expected = {"model": "stub", "messages": [{"role": "user", "content": "fill the form"}],
+                "temperature": 0.7, "n": 2, "max_tokens": 32}
+    if stop:
+        expected["stop"] = list(stop)
+    assert payload == expected
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer test-key"
+
+
+def test_setup_imports_no_http_client(tmp_path):
+    """Building a backend leaves the HTTP stack unimported, so set-up does not pay for it."""
+    log = tmp_path / "log.jsonl"
+    log.write_text(jsonl([record_to_obj(GenerationRecord(GenerationRequest("p"), ("o",), "replay"))]),
+                   encoding="utf-8")
+    code = (
+        "import sys, arground, arground.cli\n"
+        "from arground.generation import backend_from_spec\n"
+        f"backend_from_spec({'replay:' + str(log)!r})\n"
+        "backend_from_spec('http:m')\n"
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'requests') if m in sys.modules))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ARGROUND_")}
+    env.update(ARGROUND_API_KEY="test-key", PYTHONPATH=str(Path(arground.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("base_url", ["localhost:8000/v1", "ftp://example.org/v1", "http://", "http:///v1",
+                                      "http://:8000/v1"])
+def test_fill_refuses_a_base_url_that_is_not_http_before_any_request(base_url, tmp_path, hair_catalog,
+                                                                     monkeypatch, capsys):
+    sent = []
+    monkeypatch.setattr(HttpBackend, "_post", lambda self, payload: sent.append(payload))
+    argv = _http_argv("fill", 0, tmp_path, hair_catalog, monkeypatch)
+    argv[argv.index("--backend") + 1] = "http:stub"
+    monkeypatch.setenv("ARGROUND_BASE_URL", base_url)
+    assert main(argv) == EXIT_BACKEND
+    assert f"base URL {base_url!r} is not an http:// or https:// URL with a host" in capsys.readouterr().err
+    assert sent == [] and not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_fill_refuses_a_temperature_that_is_not_finite_before_any_request(temperature, tmp_path, hair_catalog,
+                                                                          monkeypatch, capsys):
+    sent = []
+    monkeypatch.setattr(HttpBackend, "_post", lambda self, payload: sent.append(payload))
+    argv = _http_argv("fill", 0, tmp_path, hair_catalog, monkeypatch) + ["--temperature", temperature]
+    assert main(argv) == EXIT_USAGE
+    assert "temperature must be a finite number >= 0" in capsys.readouterr().err
+    assert sent == [] and not (tmp_path / "out.jsonl").exists()
 
 
 def _http_argv(command, port, d, hair_catalog, monkeypatch):
