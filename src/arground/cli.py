@@ -1,4 +1,4 @@
-"""Command-line entry point and report emission.
+"""Command-line entry point.
 
 Subcommands: export-sft, reject-sample, fill, evaluate, split, report.
 Each command returns its artifacts as an ordered ``{path: text}`` dict and
@@ -17,9 +17,7 @@ produce byte-identical outputs. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -36,18 +34,17 @@ from .errors import (
     ArgroundError,
     AuthError,
     BackendError,
-    EmptyCorpus,
     LogCorrupt,
     MalformedArguments,
     NoArgumentObject,
 )
 from .generation import DEFAULT_IN_FLIGHT, backend_from_spec, generate_all
-from .metrics import error_rates, evaluate_corpus, metrics_report_csv
+from .metrics import emit_error_panel, evaluate_corpus, metrics_report_csv
 from .parsing import extract_argument_map
 from .prompting import default_request, multistep_map, slot_requests, template_hashes
 from .sampler import SamplerConfig, export_sft_dataset, rejection_sample
 from .schema import ArgumentMap, dialogue_to_obj, load_dialogues, load_schema_catalog
-from .scoring import ErrorBreakdown, classify_errors
+from .scoring import classify_errors
 from .splits import build_split_manifest, split_in_domain, split_out_of_domain
 
 logger = logging.getLogger(__name__)
@@ -240,27 +237,6 @@ def _cmd_evaluate(args) -> dict[str, str]:
     return artifacts
 
 
-def emit_error_panel(rows: list[dict], group_by: str) -> str:
-    """CSV with one row per group: group,nk_rate,mk_rate,sv_rate,hv_rate,n_samples."""
-    if not rows:
-        raise EmptyCorpus("no breakdowns to report")
-    if group_by not in ("model", "split"):
-        raise ValueError(f"group_by must be 'model' or 'split', got {group_by!r}")
-    groups: dict[str, list[ErrorBreakdown]] = {}
-    for row in rows:
-        if "breakdown" not in row:
-            raise ArgroundError("rows must carry a 'breakdown' field (run evaluate --scored-out)")
-        label = str(row.get(group_by, "unknown"))
-        groups.setdefault(label, []).append(ErrorBreakdown.from_obj(row["breakdown"]))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "nk_rate", "mk_rate", "sv_rate", "hv_rate", "n_samples"])
-    for label, breakdowns in groups.items():
-        writer.writerow([label, *error_rates(breakdowns), len(breakdowns)])
-    return buf.getvalue()
-
-
 def _cmd_report(args) -> dict[str, str]:
     return {args.out: emit_error_panel(_jsonl_rows(args.breakdowns), args.group_by)}
 
@@ -305,7 +281,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p, temperature_default):
-        p.add_argument("--backend", required=True, help="http:<profile> | mock:<script> | replay:<log> | record:<log>")
+        p.add_argument("--backend", required=True, help="http:<model> | mock:<script> | replay:<log> | record:<log>")
         p.add_argument("--temperature", type=float, default=temperature_default)
         p.add_argument("--max-tokens", type=int, default=256)
         p.add_argument("--in-flight", type=int, default=DEFAULT_IN_FLIGHT,
@@ -386,12 +362,12 @@ def main(argv=None) -> int:
     except (BackendError, AuthError, LogCorrupt) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except (ArgroundError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArgroundError, OSError, json.JSONDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

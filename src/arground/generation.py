@@ -232,9 +232,9 @@ def _opener():
 class HttpBackend(GenerationBackend):
     """Chat-completion client: POST {base}/chat/completions.
 
-    Reads ARGROUND_API_KEY / ARGROUND_BASE_URL / ARGROUND_MODEL; a profile
-    string other than "default" overrides the model name, and a base URL
-    that is not http:// or https:// is refused here, before any request.
+    Reads ARGROUND_API_KEY / ARGROUND_BASE_URL / ARGROUND_MODEL; a ``model``
+    given here overrides ARGROUND_MODEL, and a base URL that is not http://
+    or https:// is refused here, before any request.
     Transient failures (connection errors, 429, 5xx) are retried with
     exponential backoff, or after a 429's or 503's numeric ``Retry-After``
     capped at ``MAX_RETRY_AFTER_S``; auth failures are not retried.
@@ -253,7 +253,6 @@ class HttpBackend(GenerationBackend):
 
     def __init__(
         self,
-        profile: str = "default",
         base_url: str | None = None,
         api_key: str | None = None,
         model: str | None = None,
@@ -269,13 +268,7 @@ class HttpBackend(GenerationBackend):
             raise BackendError(f"base URL {url!r} is not an http:// or https:// URL with a host")
         self.base_url = url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
-        env_model = os.environ.get(ENV_MODEL, "")
-        if model:
-            self.model = model
-        elif profile and profile != "default":
-            self.model = profile
-        else:
-            self.model = env_model
+        self.model = model or os.environ.get(ENV_MODEL, "")
         if not self.api_key:
             raise AuthError(f"{ENV_API_KEY} is not set")
         if not self.model:
@@ -451,14 +444,14 @@ def generate_all(
 
 
 def backend_from_spec(spec: str) -> GenerationBackend:
-    """Build a backend from ``http:<profile>``, ``mock:<script>``,
+    """Build a backend from ``http:<model>``, ``mock:<script>``,
     ``replay:<log>``, or ``record:<log>`` (the store in front of the
-    default live backend)."""
+    default live backend). ``http:`` and ``http:default`` use ARGROUND_MODEL."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"backend spec {spec!r} must look like kind:argument")
     if kind == "http":
-        return HttpBackend(profile=arg or "default")
+        return HttpBackend(model=None if arg == "default" else arg)
     if kind == "mock":
         try:
             return MockBackend.from_script(arg)

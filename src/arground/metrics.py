@@ -15,10 +15,10 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
-from .errors import AlignmentError, EmptyCorpus
+from .errors import AlignmentError, ArgroundError, EmptyCorpus
 from .parsing import serialize_argument_map
 from .scoring import VERDICT_CORRECT, ErrorBreakdown
 from .schema import ArgumentMap
@@ -28,14 +28,16 @@ Pair = tuple[ArgumentMap, ArgumentMap]  # (pred, gold)
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """Corpus metrics, in the column order of the metrics CSV."""
+
     bleu: float
     fm: float
     f1: float
-    n_samples: int
     nk_rate: float
     mk_rate: float
     sv_rate: float
     hv_rate: float
+    n_samples: int
     fm_strict: float
 
 
@@ -161,50 +163,44 @@ def evaluate_corpus(pairs: Sequence[Pair], breakdowns: Sequence[ErrorBreakdown])
         bleu=corpus_bleu(pairs),
         fm=fuzzy_match_rate(breakdowns),
         f1=corpus_char_f1(pairs),
-        n_samples=len(pairs),
         nk_rate=nk_rate,
         mk_rate=mk_rate,
         sv_rate=sv_rate,
         hv_rate=hv_rate,
+        n_samples=len(pairs),
         fm_strict=strict_match_rate(breakdowns),
     )
 
 
-METRICS_CSV_COLUMNS = (
-    "dataset",
-    "split",
-    "backend",
-    "bleu",
-    "fm",
-    "f1",
-    "nk_rate",
-    "mk_rate",
-    "sv_rate",
-    "hv_rate",
-    "n_samples",
-    "fm_strict",
-)
+METRICS_CSV_COLUMNS = ("dataset", "split", "backend", *(f.name for f in fields(MetricsReport)))
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def metrics_report_csv(report: MetricsReport, dataset: str, split: str, backend: str) -> str:
     """One-row CSV artifact for a report (header + data row)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_CSV_COLUMNS)
-    writer.writerow(
-        [
-            dataset,
-            split,
-            backend,
-            report.bleu,
-            report.fm,
-            report.f1,
-            report.nk_rate,
-            report.mk_rate,
-            report.sv_rate,
-            report.hv_rate,
-            report.n_samples,
-            report.fm_strict,
-        ]
+    return _csv_text(METRICS_CSV_COLUMNS, [[dataset, split, backend, *astuple(report)]])
+
+
+def emit_error_panel(rows: list[dict], group_by: str) -> str:
+    """CSV with one row per group: group,nk_rate,mk_rate,sv_rate,hv_rate,n_samples."""
+    if not rows:
+        raise EmptyCorpus("no breakdowns to report")
+    if group_by not in ("model", "split"):
+        raise ValueError(f"group_by must be 'model' or 'split', got {group_by!r}")
+    groups: dict[str, list[ErrorBreakdown]] = {}
+    for row in rows:
+        if "breakdown" not in row:
+            raise ArgroundError("rows must carry a 'breakdown' field (run evaluate --scored-out)")
+        label = str(row.get(group_by, "unknown"))
+        groups.setdefault(label, []).append(ErrorBreakdown.from_obj(row["breakdown"]))
+    return _csv_text(
+        ("group", "nk_rate", "mk_rate", "sv_rate", "hv_rate", "n_samples"),
+        [[label, *error_rates(breakdowns), len(breakdowns)] for label, breakdowns in groups.items()],
     )
-    return buf.getvalue()

@@ -6,17 +6,19 @@ description, one line per slot), the dialogue history, and the cue line
 end with ``Value (or NONE):``; the reply contract is a single line with
 the sentinel NONE for unfillable slots.
 
-Templates ship with the package, use ``{{placeholder}}`` markers, and are
-hash-pinned into run metadata so experiments stay reproducible.
+The two templates are string constants in this module, not package data.
+Each ``{{placeholder}}`` is filled in one pass, so text substituted into a
+template (an utterance, a description) is never read as a placeholder. The
+sha256 of each template is pinned into run metadata, so experiments stay
+reproducible.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
+import re
 from dataclasses import dataclass
-from importlib import resources
 
 from .errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
 from .generation import GenerationRecord, GenerationRequest
@@ -40,6 +42,13 @@ SLOT_INSTRUCTION = (
 
 NONE_SENTINEL = "none"
 
+TEMPLATES = {
+    "default.txt": "{{instruction}}\n\n{{api_block}}\n\n{{history}}\n\nArguments:\n",
+    "slot.txt": "{{instruction}}\n\n{{history}}\n\n{{slot_hint}}\n\nValue (or NONE):\n",
+}
+
+_PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
+
 
 @dataclass(frozen=True)
 class Prompt:
@@ -49,20 +58,14 @@ class Prompt:
     text: str
 
 
-@functools.cache
 def load_template(name: str) -> str:
-    """The shipped template's text, read from the package once per name."""
-    return (resources.files("arground") / "templates" / name).read_text(encoding="utf-8")
+    """The text of the template ``name`` ("default.txt" or "slot.txt")."""
+    return TEMPLATES[name]
 
 
 def render_template(template: str, fields: dict[str, str]) -> str:
-    out = template
-    for key, value in fields.items():
-        out = out.replace("{{" + key + "}}", value)
-    if "{{" in out:
-        start = out.index("{{")
-        raise ValueError(f"unresolved template placeholder near {out[start:start + 30]!r}")
-    return out
+    """Replace each ``{{name}}`` of the template with ``fields[name]``, in one pass."""
+    return _PLACEHOLDER.sub(lambda m: fields[m.group(1)], template)
 
 
 def template_hashes() -> dict[str, str]:

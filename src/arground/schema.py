@@ -305,27 +305,39 @@ def _read_source(source) -> str:
     return source.read()
 
 
+def _slot_from_obj(slot: dict, where: str) -> SlotSpec:
+    if not all(isinstance(v, str) for v in (slot["name"], slot["kind"], slot.get("description", ""))):
+        raise SchemaInvalid(f"{where}: slot name, kind and description must be strings")
+    where = f"{where}, slot {slot['name']!r}"
+    allowed = slot.get("allowed_values")
+    if allowed is not None and (not isinstance(allowed, list) or not all(isinstance(v, str) for v in allowed)):
+        raise SchemaInvalid(f"{where}: allowed_values must be a list of strings")
+    required = slot.get("required", True)
+    if not isinstance(required, bool):
+        raise SchemaInvalid(f"{where}: required must be true or false")
+    return SlotSpec(
+        name=slot["name"],
+        kind=slot["kind"],
+        description=slot.get("description", ""),
+        allowed_values=None if allowed is None else tuple(allowed),
+        required=required,
+    )
+
+
 def _schema_from_obj(obj: dict) -> ApiSchema:
     if not isinstance(obj, dict):
         raise SchemaInvalid(f"catalog entry is not an object: {obj!r}")
+    where = f"catalog entry {obj.get('api_name')!r}"
     try:
+        if not all(isinstance(v, str) for v in (obj["api_name"], obj.get("description", ""))):
+            raise SchemaInvalid(f"{where}: api_name and description must be strings")
         raw_slots = obj.get("slots", [])
-        slots = tuple(
-            SlotSpec(
-                name=s["name"],
-                kind=s["kind"],
-                description=s.get("description", ""),
-                allowed_values=tuple(s["allowed_values"])
-                if s.get("allowed_values") is not None
-                else None,
-                required=bool(s.get("required", True)),
-            )
-            for s in raw_slots
-        )
+        if not isinstance(raw_slots, list) or not all(isinstance(s, dict) for s in raw_slots):
+            raise SchemaInvalid(f"{where}: slots must be a list of objects")
         return ApiSchema(
             api_name=obj["api_name"],
             description=obj.get("description", ""),
-            slots=slots,
+            slots=tuple(_slot_from_obj(s, where) for s in raw_slots),
         )
     except KeyError as exc:
         raise SchemaInvalid(f"catalog entry missing field {exc}") from exc

@@ -2,11 +2,12 @@
 
 In-domain splits are stratified: within every domain the dialogues are
 sorted by id, shuffled with a per-domain seeded RNG, and ceil(fraction*n)
-go to test (capped so both sides stay non-empty). Out-of-domain splits
-hold out whole domains plus everything connected to them through a
-user-supplied synonym map, and assert the resulting domain sets are
-disjoint. Both splits are pure functions of (content, parameters, seed),
-insensitive to input order.
+go to test (capped so each domain keeps one dialogue in train; a domain
+with a single dialogue goes to train). Out-of-domain splits hold out whole
+domains plus everything connected to them through a user-supplied synonym
+map, and assert the resulting domain sets are disjoint. A split that would
+leave either side empty raises ``DegenerateSplit``. Both splits are pure
+functions of (content, parameters, seed), insensitive to input order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ logger = logging.getLogger(__name__)
 def split_in_domain(
     dialogues: list[Dialogue], test_fraction: float, seed: int
 ) -> tuple[list[Dialogue], list[Dialogue]]:
-    """Stratified split; every domain with >= 2 dialogues appears in both sides."""
+    """Stratified split; every domain with >= 2 dialogues appears in both sides.
+
+    Raises ``DegenerateSplit`` when no domain has two dialogues, since the
+    test side would then be empty.
+    """
     if not dialogues:
         raise EmptyDataset("cannot split an empty dataset")
     if not 0.0 < test_fraction < 1.0:
@@ -44,6 +49,8 @@ def split_in_domain(
         rng.shuffle(ids)
         n_test = min(math.ceil(test_fraction * len(ids)), len(ids) - 1)
         test_ids.update(ids[:n_test])
+    if not test_ids:
+        raise DegenerateSplit("no domain has two dialogues, so the test side would be empty")
 
     train = [d for d in dialogues if d.id not in test_ids]
     test = [d for d in dialogues if d.id in test_ids]
@@ -96,6 +103,8 @@ def split_out_of_domain(
     closure = _synonym_closure(holdout, overlap_map)
     test = [d for d in dialogues if d.domain in closure]
     train = [d for d in dialogues if d.domain not in closure]
+    if not test:
+        raise DegenerateSplit("no dialogue is in a held-out domain or its synonyms; the test side is empty")
     if not train:
         raise DegenerateSplit("synonym closure leaves the train side empty")
     assert not ({d.domain for d in train} & closure)

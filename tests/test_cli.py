@@ -367,6 +367,76 @@ def test_well_formed_dialogue_record_exports(tmp_path, hair_catalog):
     assert main(argv) == EXIT_OK
 
 
+_GOOD_SLOT = {"name": "stylist", "kind": "categorical", "description": "preferred stylist",
+              "allowed_values": ["jess", "jack"], "required": False}
+
+
+def _catalog_entry(slot=None, **changes):
+    """One catalog entry for the fixture's API, with ``changes`` to the entry and ``slot`` to its last slot."""
+    return {"api_name": "hair_appointment", "description": "Book a hair appointment.",
+            "slots": [{"name": "name", "kind": "free-text"}, {**_GOOD_SLOT, **(slot or {})}], **changes}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _catalog_entry(api_name=7),
+        _catalog_entry(slot={"name": 7}),
+        _catalog_entry(slot={"kind": 7}),
+        _catalog_entry(slots=5),
+        _catalog_entry(slots=["name"]),
+        _catalog_entry(slot={"allowed_values": [1, 2]}),
+        _catalog_entry(slot={"allowed_values": "abc"}),
+        _catalog_entry(description=["Book", "a haircut"]),
+        _catalog_entry(slot={"description": ["preferred", "stylist"]}),
+        _catalog_entry(slot={"required": "no"}),
+    ],
+    ids=["api-name-number", "slot-name-number", "slot-kind-number", "slots-number", "slot-string",
+         "allowed-numbers", "allowed-string", "description-list", "slot-description-list", "required-string"],
+)
+def test_malformed_catalog_entry_is_data_error(entry, tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    (tmp_path / "catalog.json").write_text(json.dumps([entry]), encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_well_formed_catalog_entry_exports(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    (tmp_path / "catalog.json").write_text(json.dumps([_catalog_entry()]), encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("export-sft", "--dialogues"), ("export-sft", "--schemas"), ("evaluate", "--pred"), ("evaluate", "--gold"),
+     ("report", "--breakdowns"), ("split-out-of-domain", "--synonyms")],
+)
+def test_an_input_that_is_not_utf8_is_data_error(command, flag, tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, artifacts, *_ = SUBCOMMANDS[command](tmp_path)
+    Path(argv[argv.index(flag) + 1]).write_bytes(b'{"id": "d\xff"}\n')
+    assert main(argv) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / artifacts[0]).exists()
+
+
+def test_a_dialogue_with_template_braces_exports_and_fills(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    utterance = "a haircut for {{history}}, {{ john"
+    _write_jsonl(tmp_path / "dialogues.jsonl", [{**_GOOD_RECORD, "turns": [{"speaker": "user", "utterance": utterance}]}])
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_OK
+    (row,) = map(json.loads, (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines())
+    assert row["prompt"].count(utterance) == 1
+    for name in ("fill-default", "fill-multistep"):
+        argv, *_ = SUBCOMMANDS[name](tmp_path)
+        assert main(argv) == EXIT_OK, name
+
+
 # --- backend failures and the dispatch loop ----------------------------------
 
 def _replay_log_without(d, hair_catalog, missing):

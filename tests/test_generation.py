@@ -21,6 +21,7 @@ from arground.generation import (
     GenerationRequest,
     HttpBackend,
     MockBackend,
+    backend_from_spec,
     generate_all,
     open_replay,
     record_to_obj,
@@ -253,6 +254,14 @@ def test_setup_imports_no_http_client(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("spec, model", [("http:gpt-x", "gpt-x"), ("http:", "env-model"), ("http:default", "env-model")])
+def test_an_http_spec_names_the_model_or_reads_it_from_the_environment(spec, model, monkeypatch):
+    monkeypatch.setenv("ARGROUND_API_KEY", "test-key")
+    monkeypatch.setenv("ARGROUND_MODEL", "env-model")
+    backend = backend_from_spec(spec)
+    assert (backend.model, backend.backend_id) == (model, f"http:{model}")
 
 
 @pytest.mark.parametrize("base_url", ["localhost:8000/v1", "ftp://example.org/v1", "http://", "http:///v1",

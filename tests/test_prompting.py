@@ -1,23 +1,16 @@
-import hashlib
-import re
-from importlib import resources
-from types import SimpleNamespace
-
 import pytest
 
-from arground import prompting
 from arground.errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
 from arground.generation import MockBackend, generate_all
 from arground.prompting import (
     build_default_prompt,
     build_slot_prompt,
-    load_template,
     multistep_map,
     parse_slot_response,
     slot_requests,
     template_hashes,
 )
-from arground.schema import ApiSchema, SlotSpec
+from arground.schema import ApiSchema, Dialogue, DialogueTurn, SlotSpec
 from arground.scoring import classify_errors
 
 from conftest import make_dialogue
@@ -146,28 +139,29 @@ class TestMultistep:
 
 def test_template_hashes_stable():
     first = template_hashes()
-    second = template_hashes()
-    assert first == second
-    assert set(first) == {"version", "default", "slot"}
-    assert re.fullmatch(r"[0-9a-f]{64}", first["default"])
-    for name in ("default", "slot"):
-        text = (resources.files("arground") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
-        assert first[name] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert first == template_hashes()
+    assert first == {
+        "version": "1",
+        "default": "817a9ccf92275f61052c0a4af02073a7d2fe85aafc99e81efd3d67eeef249324",
+        "slot": "4f625d682f7e14405bb0740256e8641553dd86561971e4cdd70fb54c33584de8",
+    }
 
 
-def test_template_read_once(monkeypatch, hair_schema, hair_dialogue):
-    reads = []
+_BRACES = ("a {{ b", "{{history}}", "{{slot_hint}} and {{api_block}}", "{{instruction}", "{{}}")
 
-    def files(package):
-        reads.append(package)
-        return resources.files(package)
 
-    load_template.cache_clear()
-    monkeypatch.setattr(prompting, "resources", SimpleNamespace(files=files))
-    try:
-        first = build_default_prompt(hair_schema, hair_dialogue)
-        second = build_default_prompt(hair_schema, hair_dialogue)
-    finally:
-        load_template.cache_clear()
-    assert first == second
-    assert len(reads) == 1
+@pytest.mark.parametrize("utterance", _BRACES)
+def test_an_utterance_with_braces_renders_verbatim(utterance, hair_schema):
+    dialogue = Dialogue("b1", "salon", "hair_appointment", (DialogueTurn("user", utterance),))
+    default = build_default_prompt(hair_schema, dialogue).text
+    slot = build_slot_prompt(hair_schema, dialogue, hair_schema.slots[0]).text
+    assert default.count(utterance) == slot.count(utterance) == 1
+    assert default.endswith(f"User: {utterance}\n\nArguments:\n")
+    assert f"User: {utterance}\n\nArgument: name\n" in slot
+
+
+def test_a_schema_description_with_a_placeholder_renders_verbatim(hair_dialogue):
+    schema = ApiSchema("hair_appointment", "Book {{history}} now.", (SlotSpec("name", "free-text", "{{slot_hint}}"),))
+    text = build_default_prompt(schema, hair_dialogue).text
+    assert "Description: Book {{history}} now.\nSlots:\n- name (free-text): {{slot_hint}}\n" in text
+    assert text.count("User: I need a haircut tomorrow.") == 1
