@@ -34,6 +34,7 @@ from .errors import (
     ArgroundError,
     AuthError,
     BackendError,
+    InvalidArgumentMap,
     LogCorrupt,
     MalformedArguments,
     NoArgumentObject,
@@ -212,9 +213,10 @@ def _cmd_evaluate(args) -> dict[str, str]:
         row = by_id.pop(dialogue.id, None)
         if row is None:
             raise AlignmentError(f"no prediction for dialogue '{dialogue.id}'")
-        if not isinstance(row["arguments"], dict):
-            raise AlignmentError(f"prediction '{dialogue.id}': 'arguments' must be a JSON object")
-        pred_map = ArgumentMap.from_dict(row["arguments"])
+        try:
+            pred_map = ArgumentMap.from_dict(row["arguments"])
+        except InvalidArgumentMap as exc:
+            raise InvalidArgumentMap(f"prediction '{dialogue.id}': arguments: {exc}") from exc
         breakdown = classify_errors(pred_map, dialogue.gold_arguments, catalog[dialogue.target_api])
         pairs.append((pred_map, dialogue.gold_arguments))
         breakdowns.append(breakdown)

@@ -17,7 +17,7 @@ class InvalidKey(ArgroundError):
 
 
 class InvalidArgumentMap(ArgroundError):
-    """Argument-map invariant violated (duplicate key or empty value)."""
+    """Outside data does not form an argument map (see ArgumentMap.from_dict)."""
 
 
 class ParseError(ArgroundError):

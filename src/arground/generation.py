@@ -24,9 +24,9 @@ record run returns exactly what a later replay of its log returns, and
 rerunning a crashed ``fill`` or ``reject-sample`` on its log resumes it
 without repeating a call.
 
-Requests are keyed by a hash of (prompt, temperature, n_samples,
-max_tokens, stop_sequences), not by sequence number, so replay tolerates
-request reordering under concurrency. The tag is not part of the key.
+Requests are keyed by a hash of every request field but the tag, not by
+sequence number, so replay tolerates request reordering under concurrency.
+A log line is the record's fields as JSON.
 
 ``generate_all`` is the only dispatch path: every command hands it all of
 its requests at once and gets back, in the order given, each request's
@@ -44,7 +44,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import AuthError, BackendError, LogCorrupt, ReplayMiss
@@ -95,36 +95,10 @@ class GenerationRecord:
 
 
 def request_key(request: GenerationRequest) -> str:
-    """Content hash used to index record logs (the tag is excluded)."""
-    payload = json.dumps(
-        {
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "n_samples": request.n_samples,
-            "max_tokens": request.max_tokens,
-            "stop_sequences": list(request.stop_sequences),
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+    """Content hash of every request field but the tag; indexes record logs."""
+    fields = {name: value for name, value in vars(request).items() if name != "tag"}
+    payload = json.dumps(fields, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def record_to_obj(record: GenerationRecord) -> dict:
-    return {
-        "request": {
-            "prompt": record.request.prompt,
-            "temperature": record.request.temperature,
-            "max_tokens": record.request.max_tokens,
-            "n_samples": record.request.n_samples,
-            "stop_sequences": list(record.request.stop_sequences),
-            "tag": record.request.tag,
-        },
-        "outputs": list(record.outputs),
-        "backend_id": record.backend_id,
-        "timestamp": record.timestamp,
-        "latency": record.latency,
-    }
 
 
 def record_from_obj(obj: dict) -> GenerationRecord:
@@ -240,13 +214,13 @@ class HttpBackend(GenerationBackend):
     capped at ``MAX_RETRY_AFTER_S``; auth failures are not retried.
 
     Each request is one ``urllib.request`` open on a connection of its
-    own; a redirect is not followed but raises ``BackendError``. Proxies come from the environment (HTTP(S)_PROXY, NO_PROXY), and
-    HTTPS is verified against the system CA store (``requests`` used
-    certifi's bundle). There is no keep-alive yet: the benchmark's stub
-    model writes a reply's headers and body in two sends, so on a reused
-    connection each reply waits for the client's delayed ACK, and a
-    ``multistep_http`` round took 6.2 s instead of 3.4 s. Reuse waits until
-    the stub sends a reply in one write.
+    own; a redirect is not followed but raises ``BackendError``. Proxies
+    come from the environment (HTTP(S)_PROXY, NO_PROXY), and HTTPS is
+    verified against the system CA store. There is no keep-alive yet: the
+    benchmark's stub model writes a reply's headers and body in two sends,
+    so on a reused connection each reply waits for the client's delayed
+    ACK, and a ``multistep_http`` round took 6.2 s instead of 3.4 s. Reuse
+    waits until the stub sends a reply in one write.
     """
 
     backend_id = "http"
@@ -373,7 +347,7 @@ class ReplayBackend(GenerationBackend):
             if self._inner is None:
                 raise ReplayMiss(f"no recorded response for request {key[:12]}... (tag={request.tag!r})")
             record = self._inner.generate(request)
-            line = json.dumps(record_to_obj(record), ensure_ascii=False)
+            line = json.dumps(asdict(record), ensure_ascii=False)
             with self._lock:
                 outputs = self._index.get(key)
                 if outputs is None:  # a racing duplicate keeps the first record
@@ -455,7 +429,7 @@ def backend_from_spec(spec: str) -> GenerationBackend:
     if kind == "mock":
         try:
             return MockBackend.from_script(arg)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise BackendError(f"cannot read mock script {arg!r}: {exc}")
     if kind in ("replay", "record"):
         inner = HttpBackend() if kind == "record" else None

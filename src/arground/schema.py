@@ -2,7 +2,10 @@
 
 Everything is immutable after construction and canonicalized on the way
 in, so downstream comparisons (key alignment, value matching) never have
-to worry about casing or whitespace again.
+to worry about casing or whitespace again. An argument map is checked and
+canonicalized once, where it enters the program: ``ArgumentMap.from_dict``
+for JSON objects (gold arguments and prediction rows), ``extract_argument_map``
+for model output, ``multistep_map`` for slot replies; its constructor trusts them.
 
 Catalog file: JSON array of
 ``{api_name, description, slots: [{name, kind, description, allowed_values?, required?}]}``.
@@ -17,7 +20,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .errors import (
     DatasetInvalid,
@@ -190,41 +192,37 @@ class ArgumentMap:
     """Ordered key->value pairs; keys unique and canonical, values non-empty.
 
     Absence of information is modeled as key absence, never as an empty
-    value. Use :meth:`from_pairs` to build one from raw strings.
+    value. The constructor trusts its entries; build a map from outside data
+    with :meth:`from_dict`.
     """
 
     entries: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((k, v) for k, v in self.entries))
-        seen = set()
-        for key, value in self.entries:
-            if canonicalize_key(key) != key:
-                raise InvalidArgumentMap(f"key {key!r} is not canonical")
-            if not value or canonicalize_value(value) != value:
-                raise InvalidArgumentMap(f"value {value!r} for key '{key}' is not canonical")
-            if key in seen:
-                raise InvalidArgumentMap(f"duplicate key '{key}'")
-            seen.add(key)
-
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "ArgumentMap":
-        entries = []
-        seen = set()
-        for raw_key, raw_value in pairs:
-            key = canonicalize_key(raw_key)
-            value = canonicalize_value(raw_value)
+    def from_dict(cls, mapping) -> "ArgumentMap":
+        """Canonicalize a JSON object of non-null scalar values, in order.
+
+        Raises InvalidArgumentMap when ``mapping`` is not an object, or holds
+        a null, list or object value, a blank key, an empty value, or two
+        keys that canonicalize alike.
+        """
+        if not isinstance(mapping, dict):
+            raise InvalidArgumentMap(f"expected a JSON object, got {type(mapping).__name__}")
+        entries: dict[str, str] = {}
+        for raw_key, raw_value in mapping.items():
+            if raw_value is None or isinstance(raw_value, (dict, list)):
+                raise InvalidArgumentMap(f"value of key {raw_key!r} must be a string, number or boolean")
+            try:
+                key = canonicalize_key(str(raw_key))
+            except InvalidKey as exc:
+                raise InvalidArgumentMap(str(exc)) from exc
+            value = canonicalize_value(str(raw_value))
             if not value:
                 raise InvalidArgumentMap(f"empty value for key '{key}'")
-            if key in seen:
+            if key in entries:
                 raise InvalidArgumentMap(f"duplicate key '{key}'")
-            seen.add(key)
-            entries.append((key, value))
-        return cls(tuple(entries))
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "ArgumentMap":
-        return cls.from_pairs((str(k), str(v)) for k, v in mapping.items())
+            entries[key] = value
+        return cls(tuple(entries.items()))
 
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.entries)
@@ -395,25 +393,19 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
         if not isinstance(raw_turns, list) or not all(isinstance(t, dict) for t in raw_turns):
             raise DatasetInvalid(f"dialogue {obj.get('id')!r}: turns must be a list of objects")
         turns = tuple(DialogueTurn(t["speaker"], t["utterance"]) for t in raw_turns)
-        raw_gold = obj.get("gold_arguments", {})
-        if not isinstance(raw_gold, dict) or any(v is None or isinstance(v, (dict, list)) for v in raw_gold.values()):
-            raise DatasetInvalid(
-                f"dialogue {obj.get('id')!r}: gold_arguments must be an object of non-null scalar values"
-            )
         if not all(isinstance(obj[name], str) for name in ("id", "domain", "target_api")):
             raise DatasetInvalid(f"dialogue {obj.get('id')!r}: id, domain and target_api must be strings")
-        gold = ArgumentMap.from_dict(raw_gold)
         return Dialogue(
             id=obj["id"],
             domain=obj["domain"],
             target_api=obj["target_api"],
             turns=turns,
-            gold_arguments=gold,
+            gold_arguments=ArgumentMap.from_dict(obj.get("gold_arguments", {})),
         )
     except KeyError as exc:
         raise DatasetInvalid(f"dialogue record missing field {exc}") from exc
     except InvalidArgumentMap as exc:
-        raise DatasetInvalid(f"dialogue {obj.get('id')!r}: {exc}") from exc
+        raise DatasetInvalid(f"dialogue {obj.get('id')!r}: gold_arguments: {exc}") from exc
 
 
 def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[Dialogue]:

@@ -38,13 +38,12 @@ class ErrorBreakdown:
     n_sv: int
     n_hv: int
     n_total: int
-    n_error: int
     reward: float
     per_slot_verdicts: tuple[tuple[str, str], ...] = field(default=())
 
-    def __post_init__(self):
-        if self.n_error != self.n_nk + self.n_mk + self.n_sv + self.n_hv:
-            raise ValueError("n_error must equal the sum of the four error counts")
+    @property
+    def n_error(self) -> int:
+        return self.n_nk + self.n_mk + self.n_sv + self.n_hv
 
     def to_obj(self) -> dict:
         return {
@@ -61,14 +60,12 @@ class ErrorBreakdown:
     def from_obj(cls, obj: dict) -> "ErrorBreakdown":
         """Inverse of :meth:`to_obj`; raises InvalidBreakdown on a missing or bad field."""
         try:
-            counts = (int(obj["n_nk"]), int(obj["n_mk"]), int(obj["n_sv"]), int(obj["n_hv"]))
             return cls(
-                n_nk=counts[0],
-                n_mk=counts[1],
-                n_sv=counts[2],
-                n_hv=counts[3],
+                n_nk=int(obj["n_nk"]),
+                n_mk=int(obj["n_mk"]),
+                n_sv=int(obj["n_sv"]),
+                n_hv=int(obj["n_hv"]),
                 n_total=int(obj["n_total"]),
-                n_error=sum(counts),
                 reward=float(obj["reward"]),
                 per_slot_verdicts=tuple((k, v) for k, v in obj.get("verdicts", [])),
             )
@@ -130,7 +127,6 @@ def classify_errors(pred: ArgumentMap, gold: ArgumentMap, schema: ApiSchema) -> 
         n_sv=n_sv,
         n_hv=n_hv,
         n_total=n_total,
-        n_error=n_error,
         reward=reward_value(n_error, n_total),
         per_slot_verdicts=tuple(verdicts),
     )

@@ -2,17 +2,21 @@ import csv
 import io
 import json
 import logging
+import os
 import shutil
+import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import arground
 from arground import cli
 from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_error_panel, main
-from arground.generation import GenerationBackend, GenerationRecord, MockBackend, record_to_obj
+from arground.generation import GenerationBackend, GenerationRecord, MockBackend
 from arground.metrics import evaluate_corpus
 from arground.prompting import default_request, template_hashes
 from arground.schema import ArgumentMap, dialogue_from_obj, dialogue_to_obj, dump_schema_catalog, load_dialogues
@@ -49,10 +53,16 @@ def test_evaluate_then_report(tmp_path, hair_catalog, hair_dialogue):
     assert float(panel["mk_rate"]) == 0.25
 
 
-def test_evaluate_non_object_arguments_is_data_error(tmp_path, hair_catalog, hair_dialogue, capsys):
-    argv = _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, ["name", "john"])
+@pytest.mark.parametrize(
+    "arguments",
+    [["name", "john"], {"name": None}, {"name": ["ann"]}, {"name": {"x": 1}}, {" ": "john"}, {"name": " "}],
+    ids=["list", "null-value", "list-value", "object-value", "blank-key", "empty-value"],
+)
+def test_evaluate_non_object_arguments_is_data_error(arguments, tmp_path, hair_catalog, hair_dialogue, capsys):
+    argv = _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, arguments)
     assert main(argv) == EXIT_DATA
-    assert hair_dialogue.id in capsys.readouterr().err
+    assert f"prediction '{hair_dialogue.id}'" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -199,16 +209,28 @@ SUBCOMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_rerun_is_byte_identical(name, tmp_path, hair_catalog):
+    """Twice in this process, then in a fresh interpreter with another hash
+    seed, so a set or a hash iterated into an artifact would show."""
     _fixture_files(tmp_path, hair_catalog)
     argv, artifacts, *_ = SUBCOMMANDS[name](tmp_path)
 
-    def run():
-        assert main(argv) == EXIT_OK
+    def artifact_bytes():
         return {a: (tmp_path / a).read_bytes() for a in artifacts}
 
-    first = run()
+    assert main(argv) == EXIT_OK
+    first = artifact_bytes()
     assert all(first.values())
-    assert run() == first
+    assert main(argv) == EXIT_OK
+    assert artifact_bytes() == first
+
+    for artifact in artifacts:
+        (tmp_path / artifact).unlink()
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(Path(arground.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "arground.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert artifact_bytes() == first
 
 
 def _with_option(argv, flag, value):
@@ -310,13 +332,16 @@ def test_in_flight_below_one_is_usage_error(command, in_flight, tmp_path, hair_c
         ("replay:{d}/log.jsonl", "not a record\n"),  # LogCorrupt
         ("replay:{d}/missing.jsonl", ""),
         ("mock:{d}/log.jsonl", '"{}"\n'),  # the script runs dry on the second dialogue
+        ("mock:{d}/missing.jsonl", ""),
+        ("mock:{d}/log.jsonl", '"{}"\nnot json\n'),
+        ("mock:{d}/log.jsonl", b'"{}"\n"\xff"\n'),  # not UTF-8
         ("record:{d}/log.jsonl", ""),  # no ARGROUND_API_KEY
     ],
 )
 def test_backend_failures_exit_3(backend, log, tmp_path, hair_catalog, monkeypatch, capsys):
     monkeypatch.delenv("ARGROUND_API_KEY", raising=False)
     _fixture_files(tmp_path, hair_catalog)
-    (tmp_path / "log.jsonl").write_text(log, encoding="utf-8")
+    (tmp_path / "log.jsonl").write_bytes(log if isinstance(log, bytes) else log.encode("utf-8"))
     argv, *_ = SUBCOMMANDS["fill-default"](tmp_path)
     argv[argv.index("--backend") + 1] = backend.format(d=tmp_path)
     assert main(argv) == EXIT_BACKEND
@@ -353,6 +378,14 @@ def test_malformed_dialogue_record_is_data_error(record, tmp_path, hair_catalog,
     assert main(argv) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_a_blank_gold_key_is_data_error_naming_its_dialogue(tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_jsonl(tmp_path / "dialogues.jsonl", [{**_GOOD_RECORD, "gold_arguments": {" ": "john"}}])
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "dialogue 'd0'" in capsys.readouterr().err
 
 
 def test_numeric_and_boolean_gold_values_become_strings():
@@ -448,7 +481,7 @@ def _replay_log_without(d, hair_catalog, missing):
             continue
         answer = json.dumps(dialogue.gold_arguments.as_dict())
         for request in (default_request(schema, dialogue, 2, 0.8, 256), default_request(schema, dialogue, 1, 0.0, 256)):
-            records.append(record_to_obj(GenerationRecord(request, [answer] * request.n_samples, "logged")))
+            records.append(asdict(GenerationRecord(request, [answer] * request.n_samples, "logged")))
     _write_jsonl(d / "log.jsonl", records)
     return f"replay:{d / 'log.jsonl'}"
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from arground.generation import (
     backend_from_spec,
     generate_all,
     open_replay,
-    record_to_obj,
 )
 from arground.sampler import SamplerConfig, rejection_sample
 from arground.schema import dialogue_to_obj, dump_schema_catalog
@@ -240,7 +240,7 @@ def test_the_request_carries_the_payload_and_headers(flaky_stub, stop):
 def test_setup_imports_no_http_client(tmp_path):
     """Building a backend leaves the HTTP stack unimported, so set-up does not pay for it."""
     log = tmp_path / "log.jsonl"
-    log.write_text(jsonl([record_to_obj(GenerationRecord(GenerationRequest("p"), ("o",), "replay"))]),
+    log.write_text(jsonl([asdict(GenerationRecord(GenerationRequest("p"), ("o",), "replay"))]),
                    encoding="utf-8")
     code = (
         "import sys, arground, arground.cli\n"

@@ -171,6 +171,7 @@ def test_extract_never_crashes(raw):
         first = extract_argument_map(raw)
         second = extract_argument_map(raw)
         assert first == second  # deterministic
+        assert ArgumentMap.from_dict(first.map.as_dict()) == first.map  # canonical
     except (NoArgumentObject, MalformedArguments):
         pass
 
@@ -230,7 +231,10 @@ _PARSER_TOKENS = ["{", "}", "'", '"', "\\", ":", ",", " ", "\n", "\xa0", "a", "x
 def test_region_and_outcome_agree_with_oracle_on_tokens(tokens):
     raw = "".join(tokens)
     assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw)
-    assert _outcome(extract_argument_map, raw) == _outcome(ref_extract_argument_map, raw)
+    outcome = _outcome(extract_argument_map, raw)
+    assert outcome == _outcome(ref_extract_argument_map, raw)
+    if isinstance(outcome[0], ArgumentMap):
+        assert ArgumentMap.from_dict(outcome[0].as_dict()) == outcome[0]  # canonical
 
 
 def test_fixture_corpus_agrees_with_oracle():
@@ -243,7 +247,7 @@ def test_fixture_corpus_agrees_with_oracle():
 
 
 @given(argument_maps())
-@example(ArgumentMap.from_pairs((("note", 'say "hi"\\ \u00e9 \U0001f600 \x07'), ("a", "b"))))
+@example(ArgumentMap.from_dict({"note": 'say "hi"\\ \u00e9 \U0001f600 \x07', "a": "b"}))
 @settings(max_examples=200)
 def test_serialize_agrees_with_oracle(amap):
     for order in ("given", "sorted"):

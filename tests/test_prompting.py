@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arground.errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
 from arground.generation import MockBackend, generate_all
@@ -10,7 +12,7 @@ from arground.prompting import (
     slot_requests,
     template_hashes,
 )
-from arground.schema import ApiSchema, Dialogue, DialogueTurn, SlotSpec
+from arground.schema import ApiSchema, ArgumentMap, Dialogue, DialogueTurn, SlotSpec
 from arground.scoring import classify_errors
 
 from conftest import make_dialogue
@@ -135,6 +137,16 @@ class TestMultistep:
             result, _ = _multistep(backend, hair_schema, dialogue)
             breakdown = classify_errors(result, dialogue.gold_arguments, hair_schema)
             assert breakdown.n_nk == 0
+
+
+_THREE_SLOTS = ApiSchema("api", "", (SlotSpec("a", "free-text"), SlotSpec("b", "time"), SlotSpec("c", "free-text")))
+
+
+@given(st.lists(st.text(max_size=20), min_size=3, max_size=3))
+@settings(max_examples=200)
+def test_multistep_map_is_canonical(replies):
+    result, _ = _multistep(MockBackend(replies), _THREE_SLOTS, make_dialogue("h1", "salon", "api", {}))
+    assert ArgumentMap.from_dict(result.as_dict()) == result
 
 
 def test_template_hashes_stable():

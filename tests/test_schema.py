@@ -230,20 +230,26 @@ class TestCatalog:
 
 
 class TestArgumentMap:
-    def test_from_pairs_canonicalizes(self):
-        amap = ArgumentMap.from_pairs([("Name", "John"), ("Appointment Time", "3 PM")])
-        assert amap.entries == (("name", "john"), ("appointment_time", "3 pm"))
+    def test_from_dict_canonicalizes(self):
+        amap = ArgumentMap.from_dict({"Name": "John", "Appointment Time": "3 PM", "party-size": 2, "vip": True})
+        assert amap.entries == (("name", "john"), ("appointment_time", "3 pm"), ("party_size", "2"), ("vip", "true"))
+        assert ArgumentMap.from_dict(amap.as_dict()) == amap
 
     def test_duplicate_after_canonicalization(self):
         with pytest.raises(InvalidArgumentMap):
-            ArgumentMap.from_pairs([("Name", "a"), ("name", "b")])
+            ArgumentMap.from_dict({"Name": "a", "name": "b"})
 
     def test_empty_value_rejected(self):
         with pytest.raises(InvalidArgumentMap):
-            ArgumentMap.from_pairs([("name", "  ")])
+            ArgumentMap.from_dict({"name": "  "})
+
+    @pytest.mark.parametrize("mapping", [["name"], {"name": None}, {"name": ["a"]}, {"name": {"a": 1}}, {"  ": "a"}])
+    def test_non_object_non_scalar_or_blank_key_rejected(self, mapping):
+        with pytest.raises(InvalidArgumentMap):
+            ArgumentMap.from_dict(mapping)
 
     def test_order_preserved(self):
-        amap = ArgumentMap.from_pairs([("b", "2"), ("a", "1")])
+        amap = ArgumentMap.from_dict({"b": "2", "a": "1"})
         assert amap.keys() == ("b", "a")
         assert amap.get("a") == "1"
         assert "b" in amap and "c" not in amap

@@ -183,10 +183,6 @@ class TestClassifyErrors:
         b = classify_errors(amap(("color", "red")), GOLD, hair_schema)
         assert b.per_slot_verdicts == (("color", "NK"), ("name", "MK"), ("time", "MK"))
 
-    def test_breakdown_sum_validated(self):
-        with pytest.raises(ValueError):
-            ErrorBreakdown(n_nk=1, n_mk=0, n_sv=0, n_hv=0, n_total=2, n_error=0, reward=1.0)
-
     def test_round_trip_obj(self, hair_schema):
         b = classify_errors(amap(("name", "jack")), GOLD, hair_schema)
         assert ErrorBreakdown.from_obj(b.to_obj()) == b
