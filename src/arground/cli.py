@@ -24,7 +24,6 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
@@ -136,7 +135,7 @@ def _dump_jsonl(rows: Iterable[dict]) -> str:
 def _cmd_export_sft(args) -> dict[str, str]:
     catalog = load_schema_catalog(args.schemas)
     dialogues = load_dialogues(args.dialogues, catalog)
-    return {args.out: _dump_jsonl(map(asdict, export_sft_dataset(dialogues, catalog)))}
+    return {args.out: _dump_jsonl(map(vars, export_sft_dataset(dialogues, catalog)))}
 
 
 def _cmd_reject_sample(args) -> dict[str, str]:
@@ -152,8 +151,8 @@ def _cmd_reject_sample(args) -> dict[str, str]:
     )
     augmented, stats = rejection_sample(backend, dialogues, catalog, config)
     return {
-        args.out: _dump_jsonl(map(asdict, augmented)),
-        f"{args.out}.stats.json": json.dumps(asdict(stats), indent=2) + "\n",
+        args.out: _dump_jsonl(map(vars, augmented)),
+        f"{args.out}.stats.json": json.dumps(vars(stats), indent=2) + "\n",
     }
 
 

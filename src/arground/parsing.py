@@ -6,9 +6,24 @@ literals to strings, and reports every repair it applied as a warning.
 Only the FIRST balanced ``{...}`` region is parsed; nested objects and
 arrays are rejected because the argument format is flat key->value.
 
+Two paths give the same outcome. Most outputs are strict JSON, so the fast
+path first hands the text from the first ``{`` to the C scanner of
+``json.JSONDecoder.raw_decode``, keeping duplicate keys and the literal text
+of numbers. When that decodes a flat object of strings, numbers, booleans and
+nulls, its pairs go straight to canonicalization, and numbers and booleans
+add the same "quoted bare word" warning as on the relaxed path. Anything else
+falls back to the relaxed parser, which alone raises errors and sets their
+span: text that is not strict JSON from the first ``{``, a nested object or
+array, or a key or value holding a surrogate code point.
+
+A ``\\uXXXX`` escape of a high surrogate followed by one of a low surrogate
+decodes to one code point, as in ``json``. A key or value that still holds a
+surrogate (an unpaired escape, or a literal one) cannot be written as UTF-8,
+so both paths reject it as malformed.
+
 Parsing takes time linear in the length of the output, whatever the output.
-The region is the first ``{`` whose quote-aware forward scan closes. On
-normal output the scan from the first ``{`` closes, and it moves by
+The relaxed region is the first ``{`` whose quote-aware forward scan closes.
+On normal output the scan from the first ``{`` closes, and it moves by
 compiled-regex jumps to the next brace, quote or backslash. Only when that
 scan reaches the end with the brace still open (degenerate output such as
 ``{ 'a`` repeated) does one backward pass over the rest of the text pick the
@@ -23,7 +38,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvalidKey, MalformedArguments, NoArgumentObject
-from .schema import ArgumentMap, canonicalize_key, canonicalize_value
+from .schema import ArgumentMap, canonicalize_key, canonicalize_value, has_surrogate
 
 WARN_CODE_FENCE = "stripped code fence"
 WARN_SINGLE_QUOTES = "converted single quotes"
@@ -180,6 +195,17 @@ def _first_balanced_region(text: str) -> tuple[int, int] | None:
     return start, close
 
 
+def _escaped_code(text: str, at: int) -> int | None:
+    """Code point of the ``\\uXXXX`` escape at ``at``; None if there is none there."""
+    if not text.startswith("\\u", at) or at + 6 > len(text):
+        return None
+    try:
+        code = int(text[at + 2 : at + 6], 16)
+    except ValueError:
+        return None
+    return code if code >= 0 else None
+
+
 def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str | None]]:
     """Parse the text between the outer braces into raw (key, value) pairs.
 
@@ -219,15 +245,17 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
                 return "".join(buf)
             if pos + 1 >= n:
                 fail("unterminated escape")
+            code = _escaped_code(inner, pos)
+            if code is not None:
+                pos += 6
+                if 0xD800 <= code < 0xDC00:
+                    low = _escaped_code(inner, pos)
+                    if low is not None and 0xDC00 <= low < 0xE000:
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                        pos += 6
+                buf.append(chr(code))
+                continue
             nxt = inner[pos + 1]
-            if nxt == "u" and pos + 6 <= n:
-                hexpart = inner[pos + 2 : pos + 6]
-                try:
-                    buf.append(chr(int(hexpart, 16)))
-                    pos += 6
-                    continue
-                except ValueError:
-                    pass
             buf.append(_ESCAPES.get(nxt, nxt))
             pos += 2
 
@@ -273,6 +301,8 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
                 warnings.add(WARN_BARE_WORD)
                 value = token
         pairs.append((key, value))
+        if has_surrogate(key) or (value is not None and has_surrogate(value)):
+            fail("surrogate code point in key or value")
         skip_ws()
         if pos >= n:
             break
@@ -286,17 +316,68 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
     return pairs
 
 
+class _Literal(str):
+    """A JSON number or constant, kept as its literal text like a relaxed bare word."""
+
+    __slots__ = ()
+
+
+# Pairs stay a list, so duplicate keys and their order survive.
+_STRICT_JSON = json.JSONDecoder(
+    object_pairs_hook=list, parse_int=_Literal, parse_float=_Literal, parse_constant=_Literal
+)
+
+
+def _strict_object(raw: str, open_at: int) -> tuple[list[tuple[str, str | None]], int, bool] | None:
+    """Pairs of the flat JSON object at ``open_at``, the index of its '}', and
+    whether a number or boolean was quoted; None where the relaxed parser must decide."""
+    try:
+        decoded, end = _STRICT_JSON.raw_decode(raw, open_at)
+    except (ValueError, RecursionError):
+        return None
+    # Only non-ASCII text or a \u escape can decode to a surrogate.
+    check_surrogates = not raw.isascii() or "\\u" in raw
+    pairs = []
+    bare = False
+    for key, value in decoded:
+        kind = type(value)
+        if kind is _Literal:
+            bare = True
+        elif kind is bool:
+            value = "true" if value else "false"
+            bare = True
+        elif kind is not str and value is not None:
+            return None  # a nested object or array
+        if check_surrogates and (has_surrogate(key) or (kind is str and has_surrogate(value))):
+            return None
+        pairs.append((key, value))
+    return pairs, end - 1, bare
+
+
 def extract_argument_map(raw: str) -> ParseOutcome:
-    """Locate and parse the first balanced brace region in raw model output."""
+    """Locate and parse the first balanced brace region in raw model output.
+
+    Strict JSON from the first ``{`` that decodes to a flat object is read by
+    the C ``json`` scanner; everything else (relaxed syntax, a nested value,
+    a surrogate in a key or value, no object at all) goes to the relaxed
+    parser, which alone raises. Both paths yield the same map and warnings.
+    """
     warnings = _Warnings()
-    region = _first_balanced_region(raw)
-    if region is None:
-        raise NoArgumentObject("no balanced argument object in output")
-    open_at, close_at = region
+    open_at = raw.find("{")
+    strict = _strict_object(raw, open_at) if open_at != -1 else None
+    if strict is None:
+        region = _first_balanced_region(raw)
+        if region is None:
+            raise NoArgumentObject("no balanced argument object in output")
+        open_at, close_at = region
+    else:
+        raw_pairs, close_at, bare = strict
     if "```" in raw[:open_at] or "```" in raw[close_at + 1 :]:
         warnings.add(WARN_CODE_FENCE)
-    inner = raw[open_at + 1 : close_at]
-    raw_pairs = _parse_object_body(inner, warnings)
+    if strict is None:
+        raw_pairs = _parse_object_body(raw[open_at + 1 : close_at], warnings)
+    elif bare:
+        warnings.add(WARN_BARE_WORD)
 
     entries: dict[str, str] = {}
     for raw_key, raw_value in raw_pairs:

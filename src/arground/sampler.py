@@ -133,7 +133,7 @@ def rejection_sample(
             continue
         schema = catalog[dialogue.target_api]
         kept: list[TrainingExample] = []
-        seen: set[str] = set()
+        seen: set[tuple[tuple[str, str], ...]] = set()
         for output in record.outputs:
             stats.generated += 1
             try:
@@ -145,7 +145,7 @@ def rejection_sample(
             if breakdown.reward <= 0.0:
                 stats.rejected += 1
                 continue
-            dedup_key = serialize_argument_map(candidate, "sorted")
+            dedup_key = tuple(sorted(candidate.entries))
             if dedup_key in seen:
                 stats.deduplicated += 1
                 continue

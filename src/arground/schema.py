@@ -48,6 +48,12 @@ _KIND_ALIASES = {
 
 _KEY_SEPARATORS = re.compile(r"[\s\-]+")
 _VALUE_SPACES = re.compile(r"\s+")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def has_surrogate(text: str) -> bool:
+    """True when ``text`` holds a surrogate code point, which UTF-8 cannot encode."""
+    return _SURROGATE.search(text) is not None
 
 
 def canonicalize_key(raw: str) -> str:
@@ -392,7 +398,10 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
         raw_turns = obj["turns"]
         if not isinstance(raw_turns, list) or not all(isinstance(t, dict) for t in raw_turns):
             raise DatasetInvalid(f"dialogue {obj.get('id')!r}: turns must be a list of objects")
-        turns = tuple(DialogueTurn(t["speaker"], t["utterance"]) for t in raw_turns)
+        try:
+            turns = tuple(DialogueTurn(t["speaker"], t["utterance"]) for t in raw_turns)
+        except DatasetInvalid as exc:
+            raise DatasetInvalid(f"dialogue {obj.get('id')!r}: {exc}") from exc
         if not all(isinstance(obj[name], str) for name in ("id", "domain", "target_api")):
             raise DatasetInvalid(f"dialogue {obj.get('id')!r}: id, domain and target_api must be strings")
         return Dialogue(
@@ -421,7 +430,13 @@ def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"dataset line {lineno} is not valid JSON: {exc.msg}", line=lineno)
-        dialogue = dialogue_from_obj(obj)
+        # Only an escape can put a surrogate into text that was read as UTF-8.
+        if "\\u" in line and has_surrogate(json.dumps(obj, ensure_ascii=False)):
+            raise DatasetInvalid(f"dataset line {lineno}: unpaired surrogate escape")
+        try:
+            dialogue = dialogue_from_obj(obj)
+        except DatasetInvalid as exc:
+            raise DatasetInvalid(f"dataset line {lineno}: {exc}") from exc
         if dialogue.id in seen_ids:
             raise DatasetInvalid(f"duplicate dialogue id '{dialogue.id}' (line {lineno})")
         seen_ids.add(dialogue.id)

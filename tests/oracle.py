@@ -4,7 +4,8 @@ Everything here is written from the definitions, deliberately in a
 different style from the main code (full-matrix edit distance, its own
 conformance regexes, per-sentence BLEU accumulation), so agreement is
 meaningful. The parser oracle is the exception: it is the previous
-implementation, kept unchanged to cross-check its rewrite.
+implementation, kept unchanged but for the surrogate rule to cross-check its
+rewrite and the strict-JSON fast path.
 """
 
 from __future__ import annotations
@@ -224,7 +225,9 @@ def ref_corpus_bleu(hyp_token_lists, ref_token_lists) -> float:
 # The parser and serializer as they were before the linear-time rewrite, kept
 # verbatim: a quote-aware forward scan restarted from every '{' (quadratic on
 # text that never closes a brace), a character-at-a-time body scan, and two
-# json.dumps calls per entry. Only the names changed.
+# json.dumps calls per entry. Only the names changed, and one rule was added
+# since: a high and a low surrogate escape in a row decode to one code point, as
+# in json, and a key or value that still holds a surrogate is malformed.
 
 def ref_first_balanced_region(text: str) -> tuple[int, int] | None:
     """Span (open, close) of the first balanced brace region, quote-aware.
@@ -270,6 +273,14 @@ def ref_first_balanced_region(text: str) -> tuple[int, int] | None:
     return None
 
 
+def _ref_holds_surrogate(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str | None]]:
     """Parse the text between the outer braces into raw (key, value) pairs.
 
@@ -302,11 +313,22 @@ def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, st
                 if nxt == "u" and pos + 6 <= n:
                     hexpart = inner[pos + 2 : pos + 6]
                     try:
-                        buf.append(chr(int(hexpart, 16)))
-                        pos += 6
-                        continue
+                        code = int(hexpart, 16)
+                        char = chr(code)
                     except ValueError:
                         pass
+                    else:
+                        pos += 6
+                        if 0xD800 <= code <= 0xDBFF and inner[pos : pos + 2] == "\\u" and pos + 6 <= n:
+                            try:
+                                low = int(inner[pos + 2 : pos + 6], 16)
+                            except ValueError:
+                                low = -1
+                            if 0xDC00 <= low <= 0xDFFF:
+                                char = chr(0x10000 + (code - 0xD800) * 0x400 + (low - 0xDC00))
+                                pos += 6
+                        buf.append(char)
+                        continue
                 buf.append(_ESCAPES.get(nxt, nxt))
                 pos += 2
                 continue
@@ -362,6 +384,8 @@ def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, st
                 warnings.add(WARN_BARE_WORD)
                 value = token
         pairs.append((key, value))
+        if _ref_holds_surrogate(key) or (value is not None and _ref_holds_surrogate(value)):
+            fail("surrogate code point in key or value")
         skip_ws()
         if pos >= n:
             break

@@ -29,6 +29,10 @@ def _write_jsonl(path, rows):
     path.write_text(jsonl(rows), encoding="utf-8")
 
 
+def _jsonl_file(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, arguments):
     (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
     _write_jsonl(tmp_path / "gold.jsonl", [dialogue_to_obj(hair_dialogue)])
@@ -367,17 +371,37 @@ _GOOD_RECORD = {"id": "d0", "domain": "salon", "target_api": "hair_appointment",
         {**_GOOD_RECORD, "domain": {"x": 1}},
         {**_GOOD_RECORD, "target_api": 7},
         {**_GOOD_RECORD, "gold_arguments": {"name": None}},
+        {**_GOOD_RECORD, "turns": [{"speaker": "narrator", "utterance": "a haircut"}]},
     ],
     ids=["gold-list", "numeric-utterance", "record-list", "turns-null", "turns-string", "gold-object-value",
-         "id-list", "domain-object", "target-api-number", "gold-null"],
+         "id-list", "domain-object", "target-api-number", "gold-null", "unknown-speaker"],
 )
 def test_malformed_dialogue_record_is_data_error(record, tmp_path, hair_catalog, capsys):
     _fixture_files(tmp_path, hair_catalog)
-    _write_jsonl(tmp_path / "dialogues.jsonl", [record])
+    _write_jsonl(tmp_path / "dialogues.jsonl", [{**_GOOD_RECORD, "id": "d9"}, record])
     argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
     assert main(argv) == EXIT_DATA
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error: dataset line 2: " in err
+    if isinstance(record, dict):
+        assert f"dialogue {record['id']!r}: " in err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_an_unpaired_surrogate_escape_in_a_dialogue_is_data_error(tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    paired, unpaired = ({**_GOOD_RECORD, "id": f"d{i}", "turns": [{"speaker": "user", "utterance": text}]}
+                        for i, text in enumerate(["a haircut \U0001f600", "a haircut \ud83d"]))
+    # ensure_ascii writes both as \u escapes, the first as a pair
+    (tmp_path / "dialogues.jsonl").write_text(f"{json.dumps(paired)}\n{json.dumps(unpaired)}\n", encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "data error: dataset line 2: unpaired surrogate" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+    (tmp_path / "dialogues.jsonl").write_text(json.dumps(paired) + "\n", encoding="utf-8")
+    assert main(argv) == EXIT_OK
+    (row,) = _jsonl_file(tmp_path / "out.jsonl")
+    assert "a haircut \U0001f600" in row["prompt"]
 
 
 def test_a_blank_gold_key_is_data_error_naming_its_dialogue(tmp_path, hair_catalog, capsys):
@@ -468,6 +492,51 @@ def test_a_dialogue_with_template_braces_exports_and_fills(tmp_path, hair_catalo
     for name in ("fill-default", "fill-multistep"):
         argv, *_ = SUBCOMMANDS[name](tmp_path)
         assert main(argv) == EXIT_OK, name
+
+
+# --- surrogate escapes and duplicate candidates in model output ---------------
+
+def test_fill_reads_a_surrogate_pair_escape_and_records_an_unpaired_one_as_unparseable(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    # an escaped pair, an unpaired escape, and a literal surrogate that the script holds as an escape
+    outputs = [json.dumps({"name": "john \U0001f600"}), '{"name": "john \\ud83d"}', '{"name": "john \ud83d"}']
+    (tmp_path / "default.script").write_text("".join(json.dumps(o) + "\n" for o in [*outputs, *["{}"] * 3]),
+                                             encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["fill-default"](tmp_path)
+    assert main(argv) == EXIT_OK
+    rows = _jsonl_file(tmp_path / "out.jsonl")
+    assert [(r["arguments"], r["warnings"]) for r in rows[:3]] == [
+        ({"name": "john \U0001f600"}, []),
+        ({}, ["unparseable output: MalformedArguments"]),
+        ({}, ["unparseable output: MalformedArguments"]),
+    ]
+
+
+def test_reject_sample_counts_an_unpaired_surrogate_as_a_parse_failure(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_jsonl(tmp_path / "sample.script", [o for i in range(6) for o in (
+        json.dumps({"name": f"person {i}", "note": "\U0001f600"}), f'{{"name": "person {i} \\udfff"}}')])
+    argv, *_ = SUBCOMMANDS["reject-sample"](tmp_path)
+    assert main(argv) == EXIT_OK
+    stats = json.loads((tmp_path / "out.jsonl.stats.json").read_text(encoding="utf-8"))
+    assert (stats["generated"], stats["parse_failed"]) == (12, 6)
+
+
+def test_reject_sample_keeps_one_of_two_candidates_that_differ_only_in_order_or_format(
+    tmp_path, hair_catalog, hair_dialogue
+):
+    (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    _write_jsonl(tmp_path / "dialogues.jsonl", [dialogue_to_obj(hair_dialogue)])
+    _write_jsonl(tmp_path / "sample.script", ['{"name": "John", "time": "3pm"}',
+                                              "```json\n{'time': '3PM', 'NAME': 'john',}\n```"])
+    argv, *_ = SUBCOMMANDS["reject-sample"](tmp_path)
+    assert main(argv) == EXIT_OK
+    rows = _jsonl_file(tmp_path / "out.jsonl")
+    assert [(r["source"], r["completion"]) for r in rows] == [
+        ("gold", '{"name": "john", "time": "3pm"}'), ("sampled", '{"name": "john", "time": "3pm"}')
+    ]
+    stats = json.loads((tmp_path / "out.jsonl.stats.json").read_text(encoding="utf-8"))
+    assert (stats["kept"], stats["deduplicated"]) == (1, 1)
 
 
 # --- backend failures and the dispatch loop ----------------------------------

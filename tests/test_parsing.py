@@ -1,3 +1,4 @@
+import json
 import time
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from arground.parsing import (
     extract_argument_map,
     serialize_argument_map,
 )
-from arground.schema import ArgumentMap, canonicalize_key, canonicalize_value
+from arground.schema import ArgumentMap, canonicalize_key, canonicalize_value, has_surrogate
 from oracle import ref_extract_argument_map, ref_first_balanced_region, ref_serialize
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "malformed_outputs"
@@ -276,3 +277,84 @@ def test_parser_scales_linearly(shape):
     raw_by_size = {size: (shape * size)[:size] for size in (16_000, 64_000)}
     best = _best_of_three(raw_by_size)
     assert best[64_000] / best[16_000] < 8
+
+
+# --- the strict-JSON fast path against the oracle -----------------------------
+
+_CHARS = st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from(["\xe9", " ", "\U0001f600", "\U00010348"]))
+_TEXT = st.text(alphabet=_CHARS, max_size=8)
+# An unpaired surrogate stays a lone \uXXXX escape, or a literal one without ensure_ascii.
+_TEXT_WITH_SURROGATES = st.text(alphabet=st.one_of(_CHARS, st.sampled_from(["\ud83d", "\ude00"])), max_size=8)
+_NESTED_VALUES = st.one_of(st.dictionaries(_TEXT, _TEXT, max_size=2), st.lists(_TEXT, max_size=2))
+_AROUND = st.sampled_from([("", ""), ("Sure: ", " Done."), ("```json\n", "\n```"), ("", ' then {"b": "2"}'),
+                           ("", "{}"), ("It's ", "\n")])
+
+
+@st.composite
+def json_outputs(draw):
+    """Output whose first ``{`` starts ``json.dumps``-encoded pairs joined by hand,
+    so keys may repeat; also whether the fast path must take it."""
+    text = _TEXT_WITH_SURROGATES if draw(st.integers(0, 3)) == 0 else _TEXT
+    keys = st.one_of(text, st.sampled_from(["", " "]))
+    values = st.one_of(text, st.sampled_from(["", " ", "\t\n"]), st.integers(-(10**20), 10**20),
+                       st.floats(), st.booleans(), st.none())
+    pairs = draw(st.lists(st.tuples(keys, values), max_size=5))
+    if draw(st.integers(0, 3)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(text), draw(_NESTED_VALUES)))
+    if pairs and draw(st.booleans()):
+        pairs.append((pairs[0][0].upper(), draw(values)))  # a duplicate key
+    ensure_ascii = draw(st.booleans())
+    sep = draw(st.sampled_from([", ", ",", ",\n  "]))
+    body = sep.join(f"{json.dumps(k, ensure_ascii=ensure_ascii)}: {json.dumps(v, ensure_ascii=ensure_ascii)}"
+                    for k, v in pairs)
+    before, after = draw(_AROUND)
+    texts = [k for k, _ in pairs] + [v for _, v in pairs if isinstance(v, str)]
+    fast = (all(v is None or isinstance(v, (str, int, float)) for _, v in pairs)
+            and not any(has_surrogate(t) for t in texts))
+    return f"{before}{{{body}}}{after}", fast
+
+
+@given(json_outputs())
+@example(('{"name": "john \\ud83d\\ude00"}', True))
+@example(('{"name": "john \\ud83d"}', False))
+@example(('{"guests": 498, "outdoor": true, "note": null, "x": -1.5e3, "y": NaN}', True))
+@example(('{"a": "x", "A": " ", "": "y", "a": "z"}', True))
+@settings(max_examples=500, deadline=None)
+def test_fast_path_agrees_with_oracle(drawn):
+    raw, fast = drawn
+    outcome = _outcome(extract_argument_map, raw)
+    assert outcome == _outcome(ref_extract_argument_map, raw)
+    assert (parsing._strict_object(raw, raw.find("{")) is not None) == fast
+    if fast:
+        assert isinstance(outcome[0], ArgumentMap)
+
+
+def test_clean_json_takes_the_fast_path_and_relaxed_text_does_not(monkeypatch):
+    def no_relaxed_parse(inner, warnings):
+        raise AssertionError("relaxed parser reached")
+
+    monkeypatch.setattr(parsing, "_parse_object_body", no_relaxed_parse)
+    outcome = extract_argument_map('```json\n{"name": "John", "guests": 3, "outdoor": false, "note": null}\n```')
+    assert outcome.map.as_dict() == {"name": "john", "guests": "3", "outdoor": "false"}
+    assert outcome.warnings == (WARN_CODE_FENCE, WARN_BARE_WORD, WARN_NULL_VALUE)
+    with pytest.raises(AssertionError, match="relaxed parser reached"):
+        extract_argument_map("{'a': 'b'}")
+
+
+# --- surrogate escapes ----------------------------------------------------------
+
+@pytest.mark.parametrize("raw", ['{"name": "john \\ud83d\\ude00"}', "{'name': 'john \\ud83d\\ude00'}",
+                                 '{"name": "john \\uD83D\\uDE00"}', '{"name": "john \U0001f600"}'],
+                         ids=["escaped", "single-quoted", "upper-case-hex", "literal"])
+def test_a_surrogate_pair_escape_is_one_code_point(raw):
+    assert extract_argument_map(raw).map.as_dict() == {"name": "john \U0001f600"}
+
+
+@pytest.mark.parametrize("raw", ['{"name": "john \\ud83d"}', "{'name': 'john \\ude00\\ud83d'}",
+                                 '{"name": "john \ud83d"}', '{"name\\ud83d": "john"}', '{"x\\udfff": null}',
+                                 "{name: john \ud83d}"],
+                         ids=["unpaired", "low-then-high", "literal", "in-key", "in-key-of-null", "bare-word"])
+def test_a_surrogate_left_in_a_key_or_value_is_malformed(raw):
+    with pytest.raises(MalformedArguments) as exc:
+        extract_argument_map(raw)
+    assert exc.value.span
