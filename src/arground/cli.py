@@ -11,7 +11,9 @@ in ``inputs``; ``input_hashes`` hashes the input files given; and
 ``template_hash`` is recorded for the commands that build prompts
 (export-sft, reject-sample, fill). Identical inputs and options therefore
 produce byte-identical outputs. Exit codes: 0 success, 1 usage error,
-2 data error, 3 backend error.
+2 data error, 3 backend error. An input file that is not UTF-8 or not JSON,
+or that holds a ``\\u`` escape decoding to an unpaired surrogate, is a data
+error (2), refused as it is read.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .metrics import emit_error_panel, evaluate_corpus, metrics_report_csv
 from .parsing import extract_argument_map
 from .prompting import default_request, multistep_map, slot_requests, template_hashes
 from .sampler import SamplerConfig, export_sft_dataset, rejection_sample
-from .schema import ArgumentMap, dialogue_to_obj, load_dialogues, load_schema_catalog
+from .schema import ArgumentMap, dialogue_to_obj, load_dialogues, load_schema_catalog, read_json, read_jsonl
 from .scoring import classify_errors
 from .splits import build_split_manifest, split_in_domain, split_out_of_domain
 
@@ -110,19 +112,7 @@ def _write_run(args, artifacts: dict[str, str]) -> None:
 
 
 def _jsonl_rows(path) -> list[dict]:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ArgroundError(f"{path}: line {lineno} is not valid JSON: {exc.msg}")
-        if not isinstance(row, dict):
-            raise ArgroundError(f"{path}: line {lineno} is not a JSON object")
-        rows.append(row)
-    return rows
+    return [row for _, row in read_jsonl(path, f"{path}:")]
 
 
 def _dump_jsonl(rows: Iterable[dict]) -> str:
@@ -243,10 +233,7 @@ def _cmd_report(args) -> dict[str, str]:
 
 
 def _load_synonyms(path) -> dict[str, str]:
-    try:
-        synonyms = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArgroundError(f"{path}: not valid JSON: {exc.msg}")
+    synonyms = read_json(path, path)
     if not isinstance(synonyms, dict) or not all(isinstance(v, str) for v in synonyms.values()):
         raise ArgroundError(f"{path}: synonyms must be a JSON object mapping domain to domain")
     return synonyms

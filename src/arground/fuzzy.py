@@ -70,11 +70,11 @@ def similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
-def values_match(pred: str, gold: str, threshold: float = MATCH_THRESHOLD) -> bool:
+def values_match(pred: str, gold: str) -> bool:
     """Symmetric fuzzy equality on canonicalized strings."""
     if pred == gold:
         return True
     longest = max(len(pred), len(gold))
-    if 1.0 - abs(len(pred) - len(gold)) / longest < threshold:
+    if 1.0 - abs(len(pred) - len(gold)) / longest < MATCH_THRESHOLD:
         return False
-    return 1.0 - levenshtein(pred, gold) / longest >= threshold
+    return 1.0 - levenshtein(pred, gold) / longest >= MATCH_THRESHOLD

@@ -26,7 +26,8 @@ without repeating a call.
 
 Requests are keyed by a hash of every request field but the tag, not by
 sequence number, so replay tolerates request reordering under concurrency.
-A log line is the record's fields as JSON.
+A log line is the record's fields as JSON with ASCII escapes, so a reply
+holding a lone surrogate, which has no UTF-8 form, is stored like any other.
 
 ``generate_all`` is the only dispatch path: every command hands it all of
 its requests at once and gets back, in the order given, each request's
@@ -347,7 +348,7 @@ class ReplayBackend(GenerationBackend):
             if self._inner is None:
                 raise ReplayMiss(f"no recorded response for request {key[:12]}... (tag={request.tag!r})")
             record = self._inner.generate(request)
-            line = json.dumps(asdict(record), ensure_ascii=False)
+            line = json.dumps(asdict(record))
             with self._lock:
                 outputs = self._index.get(key)
                 if outputs is None:  # a racing duplicate keeps the first record

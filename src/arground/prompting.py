@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
 from .generation import GenerationRecord, GenerationRequest
-from .schema import ApiSchema, ArgumentMap, Dialogue, SlotSpec, canonicalize_value
+from .schema import ApiSchema, ArgumentMap, Dialogue, SlotSpec, canonicalize_value, has_surrogate
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +140,8 @@ def parse_slot_response(raw: str) -> str | None:
     """First non-empty line, canonicalized; NONE maps to absent.
 
     Outer quotes are stripped only when the whole line is quoted; a quote
-    embedded mid-line is kept verbatim.
+    embedded mid-line is kept verbatim. A line holding a surrogate, which
+    no artifact can encode, is unusable like an empty one.
     """
     for line in raw.splitlines():
         line = line.strip()
@@ -151,6 +152,8 @@ def parse_slot_response(raw: str) -> str | None:
         value = canonicalize_value(line)
         if not value:
             raise EmptySlotResponse("slot response line is empty after normalization")
+        if has_surrogate(value):
+            raise EmptySlotResponse("slot response line holds a surrogate")
         if value == NONE_SENTINEL:
             return None
         return value
@@ -193,8 +196,9 @@ def multistep_map(
     """Assemble the replies to ``slot_requests`` into an argument map.
 
     Keys come from the schema by construction, so multi-step predictions can
-    never contain a non-existent key. An empty reply is treated as absent;
-    the first failed request raises, naming its slot.
+    never contain a non-existent key. An empty reply, or one holding a
+    surrogate, is treated as absent; the first failed request raises,
+    naming its slot.
     """
     entries: list[tuple[str, str]] = []
     for slot, record in zip(schema.slots, records):
@@ -205,11 +209,12 @@ def multistep_map(
             ) from record
         try:
             value = parse_slot_response(record.outputs[0])
-        except EmptySlotResponse:
+        except EmptySlotResponse as exc:
             logger.warning(
-                "empty slot response for '%s' of dialogue '%s'; treated as absent",
+                "unusable slot response for '%s' of dialogue '%s' (%s); treated as absent",
                 slot.name,
                 dialogue.id,
+                exc,
             )
             continue
         if value is not None:

@@ -1,11 +1,19 @@
 """API schema, dialogue, and argument-map data model.
 
-Everything is immutable after construction and canonicalized on the way
-in, so downstream comparisons (key alignment, value matching) never have
-to worry about casing or whitespace again. An argument map is checked and
-canonicalized once, where it enters the program: ``ArgumentMap.from_dict``
-for JSON objects (gold arguments and prediction rows), ``extract_argument_map``
-for model output, ``multistep_map`` for slot replies; its constructor trusts them.
+Every record is immutable and its constructor trusts its fields: each record
+kind is checked and canonicalized once, where it enters the program, so
+downstream comparisons (key alignment, value matching) never have to worry
+about casing or whitespace again. The entry points are
+``load_schema_catalog`` for API schemas and their slots, ``dialogue_from_obj``
+for dialogues and their turns (``load_dialogues`` reads a dataset through
+it), and ``ArgumentMap.from_dict`` for argument maps from JSON objects (gold
+arguments and prediction rows); ``extract_argument_map`` and
+``multistep_map`` build maps from model output and slot replies.
+
+Input files are decoded by ``read_json`` (one document) or ``read_jsonl``
+(one object per line). Both refuse a ``\\u`` escape that decodes to an
+unpaired surrogate, which UTF-8 cannot encode, so such input fails where it
+is read rather than when an artifact holding it is written.
 
 Catalog file: JSON array of
 ``{api_name, description, slots: [{name, kind, description, allowed_values?, required?}]}``.
@@ -20,6 +28,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     DatasetInvalid,
@@ -142,26 +151,6 @@ class SlotSpec:
     allowed_values: tuple[str, ...] | None = None
     required: bool = True
 
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "name", canonicalize_key(self.name))
-        except InvalidKey as exc:
-            raise SchemaInvalid(str(exc)) from exc
-        object.__setattr__(self, "kind", normalize_kind(self.kind))
-        if self.allowed_values is not None:
-            object.__setattr__(
-                self, "allowed_values", tuple(canonicalize_value(v) for v in self.allowed_values)
-            )
-        if self.kind == "categorical":
-            if not self.allowed_values:
-                raise SchemaInvalid(f"categorical slot '{self.name}' requires allowed_values")
-            if any(not v for v in self.allowed_values):
-                raise SchemaInvalid(f"slot '{self.name}' has an empty allowed value")
-            if len(set(self.allowed_values)) != len(self.allowed_values):
-                raise SchemaInvalid(f"slot '{self.name}' has duplicate allowed values")
-        elif self.allowed_values is not None:
-            raise SchemaInvalid(f"slot '{self.name}' is not categorical but lists allowed_values")
-
 
 @dataclass(frozen=True)
 class ApiSchema:
@@ -170,18 +159,6 @@ class ApiSchema:
     api_name: str
     description: str = ""
     slots: tuple[SlotSpec, ...] = ()
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "api_name", canonicalize_key(self.api_name))
-        except InvalidKey as exc:
-            raise SchemaInvalid(str(exc)) from exc
-        object.__setattr__(self, "slots", tuple(self.slots))
-        if not self.slots:
-            raise SchemaInvalid(f"schema '{self.api_name}' has no slots")
-        names = [s.name for s in self.slots]
-        if len(set(names)) != len(names):
-            raise SchemaInvalid(f"schema '{self.api_name}' has duplicate slot names")
 
     def slot(self, name: str) -> SlotSpec | None:
         for s in self.slots:
@@ -260,18 +237,6 @@ class DialogueTurn:
     speaker: str
     utterance: str
 
-    def __post_init__(self):
-        if not isinstance(self.speaker, str) or not isinstance(self.utterance, str):
-            raise DatasetInvalid("turn speaker and utterance must be strings")
-        speaker = self.speaker.strip().lower()
-        if speaker not in ("user", "agent"):
-            raise DatasetInvalid(f"speaker must be 'user' or 'agent', got {self.speaker!r}")
-        object.__setattr__(self, "speaker", speaker)
-        utterance = self.utterance.strip()
-        if not utterance:
-            raise DatasetInvalid("turn utterance is empty")
-        object.__setattr__(self, "utterance", utterance)
-
 
 @dataclass(frozen=True)
 class Dialogue:
@@ -281,27 +246,8 @@ class Dialogue:
     turns: tuple[DialogueTurn, ...]
     gold_arguments: ArgumentMap = field(default_factory=ArgumentMap)
 
-    def __post_init__(self):
-        ident = self.id.strip()
-        if not ident:
-            raise DatasetInvalid("dialogue id is empty")
-        object.__setattr__(self, "id", ident)
-        domain = canonicalize_value(self.domain)
-        if not domain:
-            raise DatasetInvalid(f"dialogue '{ident}' has an empty domain")
-        object.__setattr__(self, "domain", domain)
-        try:
-            object.__setattr__(self, "target_api", canonicalize_key(self.target_api))
-        except InvalidKey as exc:
-            raise DatasetInvalid(f"dialogue '{ident}': {exc}") from exc
-        object.__setattr__(self, "turns", tuple(self.turns))
-        if not self.turns:
-            raise DatasetInvalid(f"dialogue '{ident}' has no turns")
-        if not isinstance(self.gold_arguments, ArgumentMap):
-            raise DatasetInvalid(f"dialogue '{ident}': gold_arguments must be an ArgumentMap")
 
-
-# --- catalog and dataset IO --------------------------------------------------
+# --- input files: one JSON reader, one JSONL reader --------------------------
 
 def _read_source(source) -> str:
     if isinstance(source, (str, Path)):
@@ -309,23 +255,77 @@ def _read_source(source) -> str:
     return source.read()
 
 
+def _decode(text: str, where: str, lineno: int | None = None):
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where} is not valid JSON: {exc.msg}", line=lineno or exc.lineno, column=exc.colno)
+    # Only an escape can put a surrogate into text that was read as UTF-8.
+    if "\\u" in text and has_surrogate(json.dumps(value, ensure_ascii=False)):
+        raise ParseError(f"{where}: unpaired surrogate escape", line=lineno)
+    return value
+
+
+def read_json(source, name: str):
+    """Decode one JSON document from a path or a text file object.
+
+    Raises ParseError, naming the document ``name``, for text that is not
+    JSON and for a ``\\u`` escape that decodes to an unpaired surrogate.
+    """
+    return _decode(_read_source(source), name)
+
+
+def read_jsonl(source, name: str) -> Iterator[tuple[str, dict]]:
+    """Yield ``(where, object)`` for each non-blank line of a JSONL source,
+    ``where`` being ``"<name> line N"``.
+
+    Raises ParseError, naming the line, for a line that ``read_json`` would
+    refuse or that is not a JSON object.
+    """
+    for lineno, line in enumerate(_read_source(source).splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{name} line {lineno}"
+        obj = _decode(line, where, lineno)
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}", line=lineno)
+        yield where, obj
+
+
+# --- catalog records ----------------------------------------------------------
+
+def _schema_key(raw: str) -> str:
+    try:
+        return canonicalize_key(raw)
+    except InvalidKey as exc:
+        raise SchemaInvalid(str(exc)) from exc
+
+
 def _slot_from_obj(slot: dict, where: str) -> SlotSpec:
-    if not all(isinstance(v, str) for v in (slot["name"], slot["kind"], slot.get("description", ""))):
+    name, kind, description = slot["name"], slot["kind"], slot.get("description", "")
+    if not all(isinstance(v, str) for v in (name, kind, description)):
         raise SchemaInvalid(f"{where}: slot name, kind and description must be strings")
-    where = f"{where}, slot {slot['name']!r}"
+    where = f"{where}, slot {name!r}"
     allowed = slot.get("allowed_values")
     if allowed is not None and (not isinstance(allowed, list) or not all(isinstance(v, str) for v in allowed)):
         raise SchemaInvalid(f"{where}: allowed_values must be a list of strings")
     required = slot.get("required", True)
     if not isinstance(required, bool):
         raise SchemaInvalid(f"{where}: required must be true or false")
-    return SlotSpec(
-        name=slot["name"],
-        kind=slot["kind"],
-        description=slot.get("description", ""),
-        allowed_values=None if allowed is None else tuple(allowed),
-        required=required,
-    )
+    name, kind = _schema_key(name), normalize_kind(kind)
+    if allowed is not None:
+        allowed = tuple(canonicalize_value(v) for v in allowed)
+    if kind == "categorical":
+        if not allowed:
+            raise SchemaInvalid(f"categorical slot '{name}' requires allowed_values")
+        if not all(allowed):
+            raise SchemaInvalid(f"slot '{name}' has an empty allowed value")
+        if len(set(allowed)) != len(allowed):
+            raise SchemaInvalid(f"slot '{name}' has duplicate allowed values")
+    elif allowed is not None:
+        raise SchemaInvalid(f"slot '{name}' is not categorical but lists allowed_values")
+    return SlotSpec(name, kind, description, allowed, required)
 
 
 def _schema_from_obj(obj: dict) -> ApiSchema:
@@ -333,27 +333,26 @@ def _schema_from_obj(obj: dict) -> ApiSchema:
         raise SchemaInvalid(f"catalog entry is not an object: {obj!r}")
     where = f"catalog entry {obj.get('api_name')!r}"
     try:
-        if not all(isinstance(v, str) for v in (obj["api_name"], obj.get("description", ""))):
+        api_name, description = obj["api_name"], obj.get("description", "")
+        if not all(isinstance(v, str) for v in (api_name, description)):
             raise SchemaInvalid(f"{where}: api_name and description must be strings")
         raw_slots = obj.get("slots", [])
         if not isinstance(raw_slots, list) or not all(isinstance(s, dict) for s in raw_slots):
             raise SchemaInvalid(f"{where}: slots must be a list of objects")
-        return ApiSchema(
-            api_name=obj["api_name"],
-            description=obj.get("description", ""),
-            slots=tuple(_slot_from_obj(s, where) for s in raw_slots),
-        )
+        slots = tuple(_slot_from_obj(s, where) for s in raw_slots)
     except KeyError as exc:
         raise SchemaInvalid(f"catalog entry missing field {exc}") from exc
+    api_name = _schema_key(api_name)
+    if not slots:
+        raise SchemaInvalid(f"schema '{api_name}' has no slots")
+    if len({s.name for s in slots}) != len(slots):
+        raise SchemaInvalid(f"schema '{api_name}' has duplicate slot names")
+    return ApiSchema(api_name, description, slots)
 
 
 def load_schema_catalog(source) -> dict[str, ApiSchema]:
     """Load and validate a catalog file into a map of api_name -> ApiSchema."""
-    text = _read_source(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"catalog is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    doc = read_json(source, "catalog")
     if not isinstance(doc, list):
         raise ParseError("catalog must be a JSON array of API objects")
     catalog: dict[str, ApiSchema] = {}
@@ -365,21 +364,7 @@ def load_schema_catalog(source) -> dict[str, ApiSchema]:
     return catalog
 
 
-def _schema_to_obj(schema: ApiSchema) -> dict:
-    slots = []
-    for s in schema.slots:
-        slot_obj: dict = {"name": s.name, "kind": s.kind, "description": s.description}
-        if s.allowed_values is not None:
-            slot_obj["allowed_values"] = list(s.allowed_values)
-        slot_obj["required"] = s.required
-        slots.append(slot_obj)
-    return {"api_name": schema.api_name, "description": schema.description, "slots": slots}
-
-
-def dump_schema_catalog(catalog: dict[str, ApiSchema]) -> str:
-    """Serialize a catalog back to its file format (round-trips exactly)."""
-    return json.dumps([_schema_to_obj(s) for s in catalog.values()], indent=2, ensure_ascii=False)
-
+# --- dialogue records ---------------------------------------------------------
 
 def dialogue_to_obj(dialogue: Dialogue) -> dict:
     return {
@@ -391,7 +376,21 @@ def dialogue_to_obj(dialogue: Dialogue) -> dict:
     }
 
 
+def _turn_from_obj(turn: dict) -> DialogueTurn:
+    speaker, utterance = turn["speaker"], turn["utterance"]
+    if not isinstance(speaker, str) or not isinstance(utterance, str):
+        raise DatasetInvalid("turn speaker and utterance must be strings")
+    canonical = speaker.strip().lower()
+    if canonical not in ("user", "agent"):
+        raise DatasetInvalid(f"speaker must be 'user' or 'agent', got {speaker!r}")
+    utterance = utterance.strip()
+    if not utterance:
+        raise DatasetInvalid("turn utterance is empty")
+    return DialogueTurn(canonical, utterance)
+
+
 def dialogue_from_obj(obj: dict) -> Dialogue:
+    """Check and canonicalize one dialogue record; raises DatasetInvalid."""
     if not isinstance(obj, dict):
         raise DatasetInvalid(f"dialogue record must be a JSON object, got {type(obj).__name__}")
     try:
@@ -399,46 +398,43 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
         if not isinstance(raw_turns, list) or not all(isinstance(t, dict) for t in raw_turns):
             raise DatasetInvalid(f"dialogue {obj.get('id')!r}: turns must be a list of objects")
         try:
-            turns = tuple(DialogueTurn(t["speaker"], t["utterance"]) for t in raw_turns)
+            turns = tuple(_turn_from_obj(t) for t in raw_turns)
         except DatasetInvalid as exc:
             raise DatasetInvalid(f"dialogue {obj.get('id')!r}: {exc}") from exc
-        if not all(isinstance(obj[name], str) for name in ("id", "domain", "target_api")):
-            raise DatasetInvalid(f"dialogue {obj.get('id')!r}: id, domain and target_api must be strings")
-        return Dialogue(
-            id=obj["id"],
-            domain=obj["domain"],
-            target_api=obj["target_api"],
-            turns=turns,
-            gold_arguments=ArgumentMap.from_dict(obj.get("gold_arguments", {})),
-        )
+        ident, domain, target_api = obj["id"], obj["domain"], obj["target_api"]
+        if not all(isinstance(v, str) for v in (ident, domain, target_api)):
+            raise DatasetInvalid(f"dialogue {ident!r}: id, domain and target_api must be strings")
+        gold = ArgumentMap.from_dict(obj.get("gold_arguments", {}))
     except KeyError as exc:
         raise DatasetInvalid(f"dialogue record missing field {exc}") from exc
     except InvalidArgumentMap as exc:
         raise DatasetInvalid(f"dialogue {obj.get('id')!r}: gold_arguments: {exc}") from exc
+    ident = ident.strip()
+    if not ident:
+        raise DatasetInvalid("dialogue id is empty")
+    domain = canonicalize_value(domain)
+    if not domain:
+        raise DatasetInvalid(f"dialogue '{ident}' has an empty domain")
+    try:
+        target_api = canonicalize_key(target_api)
+    except InvalidKey as exc:
+        raise DatasetInvalid(f"dialogue '{ident}': {exc}") from exc
+    if not turns:
+        raise DatasetInvalid(f"dialogue '{ident}' has no turns")
+    return Dialogue(ident, domain, target_api, turns, gold)
 
 
 def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[Dialogue]:
     """Load a JSONL dialogue dataset; resolves target_api when a catalog is given."""
-    text = _read_source(source)
     dialogues: list[Dialogue] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"dataset line {lineno} is not valid JSON: {exc.msg}", line=lineno)
-        # Only an escape can put a surrogate into text that was read as UTF-8.
-        if "\\u" in line and has_surrogate(json.dumps(obj, ensure_ascii=False)):
-            raise DatasetInvalid(f"dataset line {lineno}: unpaired surrogate escape")
+    for where, obj in read_jsonl(source, "dataset"):
         try:
             dialogue = dialogue_from_obj(obj)
         except DatasetInvalid as exc:
-            raise DatasetInvalid(f"dataset line {lineno}: {exc}") from exc
+            raise DatasetInvalid(f"{where}: {exc}") from exc
         if dialogue.id in seen_ids:
-            raise DatasetInvalid(f"duplicate dialogue id '{dialogue.id}' (line {lineno})")
+            raise DatasetInvalid(f"{where}: duplicate dialogue id '{dialogue.id}'")
         seen_ids.add(dialogue.id)
         if catalog is not None and dialogue.target_api not in catalog:
             raise DatasetInvalid(

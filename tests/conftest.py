@@ -1,26 +1,34 @@
+import io
 import json
 
 import pytest
 
-from arground.schema import ApiSchema, ArgumentMap, Dialogue, DialogueTurn, SlotSpec
+from arground.schema import ArgumentMap, Dialogue, DialogueTurn, load_schema_catalog
+
+# The catalog of the hair_catalog fixture, as written to a --schemas file.
+HAIR_CATALOG_JSON = """[
+  {
+    "api_name": "hair_appointment",
+    "description": "Book a hair appointment with a stylist.",
+    "slots": [
+      {"name": "name", "kind": "free-text", "description": "customer name"},
+      {"name": "time", "kind": "time", "description": "appointment time"},
+      {"name": "stylist", "kind": "categorical", "description": "preferred stylist",
+       "allowed_values": ["jess", "jack"]}
+    ]
+  }
+]
+"""
 
 
 @pytest.fixture
-def hair_schema():
-    return ApiSchema(
-        api_name="hair_appointment",
-        description="Book a hair appointment with a stylist.",
-        slots=(
-            SlotSpec("name", "free-text", "customer name"),
-            SlotSpec("time", "time", "appointment time"),
-            SlotSpec("stylist", "categorical", "preferred stylist", ("jess", "jack")),
-        ),
-    )
+def hair_catalog():
+    return load_schema_catalog(io.StringIO(HAIR_CATALOG_JSON))
 
 
 @pytest.fixture
-def hair_catalog(hair_schema):
-    return {hair_schema.api_name: hair_schema}
+def hair_schema(hair_catalog):
+    return hair_catalog["hair_appointment"]
 
 
 @pytest.fixture

@@ -19,10 +19,10 @@ from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_erro
 from arground.generation import GenerationBackend, GenerationRecord, MockBackend
 from arground.metrics import evaluate_corpus
 from arground.prompting import default_request, template_hashes
-from arground.schema import ArgumentMap, dialogue_from_obj, dialogue_to_obj, dump_schema_catalog, load_dialogues
+from arground.schema import ArgumentMap, dialogue_from_obj, dialogue_to_obj, load_dialogues
 from arground.scoring import classify_errors
 
-from conftest import jsonl, make_dialogue
+from conftest import HAIR_CATALOG_JSON, jsonl, make_dialogue
 
 
 def _write_jsonl(path, rows):
@@ -33,8 +33,8 @@ def _jsonl_file(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, arguments):
-    (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+def _evaluate_argv(tmp_path, hair_dialogue, arguments):
+    (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
     _write_jsonl(tmp_path / "gold.jsonl", [dialogue_to_obj(hair_dialogue)])
     _write_jsonl(tmp_path / "pred.jsonl", [{"id": hair_dialogue.id, "arguments": arguments}])
     return [
@@ -47,8 +47,8 @@ def _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, arguments):
     ]
 
 
-def test_evaluate_then_report(tmp_path, hair_catalog, hair_dialogue):
-    argv = _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, {"name": "john"})
+def test_evaluate_then_report(tmp_path, hair_dialogue):
+    argv = _evaluate_argv(tmp_path, hair_dialogue, {"name": "john"})
     assert main(argv) == EXIT_OK
     report_argv = ["report", "--breakdowns", str(tmp_path / "scored.jsonl"), "--group-by", "split",
                    "--out", str(tmp_path / "panel.csv")]
@@ -62,8 +62,8 @@ def test_evaluate_then_report(tmp_path, hair_catalog, hair_dialogue):
     [["name", "john"], {"name": None}, {"name": ["ann"]}, {"name": {"x": 1}}, {" ": "john"}, {"name": " "}],
     ids=["list", "null-value", "list-value", "object-value", "blank-key", "empty-value"],
 )
-def test_evaluate_non_object_arguments_is_data_error(arguments, tmp_path, hair_catalog, hair_dialogue, capsys):
-    argv = _evaluate_argv(tmp_path, hair_catalog, hair_dialogue, arguments)
+def test_evaluate_non_object_arguments_is_data_error(arguments, tmp_path, hair_dialogue, capsys):
+    argv = _evaluate_argv(tmp_path, hair_dialogue, arguments)
     assert main(argv) == EXIT_DATA
     assert f"prediction '{hair_dialogue.id}'" in capsys.readouterr().err
     assert not (tmp_path / "metrics.csv").exists()
@@ -103,12 +103,12 @@ def test_single_group_panel_matches_evaluate_corpus(hair_schema):
     assert panel["n_samples"] == "3"
 
 
-def test_mock_fill_is_deterministic_at_any_in_flight(tmp_path, hair_catalog):
+def test_mock_fill_is_deterministic_at_any_in_flight(tmp_path):
     dialogues = [
         make_dialogue(f"d{i:02d}", "salon", "hair_appointment", {"name": f"person {i}"})
         for i in range(40)
     ]
-    (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
     _write_jsonl(tmp_path / "dialogues.jsonl", map(dialogue_to_obj, dialogues))
     _write_jsonl(tmp_path / "script.jsonl", [f'{{"name": "person {i}"}}' for i in range(40)])
 
@@ -141,7 +141,7 @@ def _fixture_files(d, hair_catalog):
         make_dialogue(f"d{i}", ("salon", "barber")[i % 2], "hair_appointment", {"name": f"person {i}"})
         for i in range(6)
     ]
-    (d / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    (d / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
     _write_jsonl(d / "dialogues.jsonl", map(dialogue_to_obj, dialogues))
     _write_jsonl(d / "default.script", [f'{{"name": "person {i}"}}' if i % 3 else "no idea" for i in range(6)])
     _write_jsonl(d / "multistep.script", [r for i in range(6) for r in (f"person {i}", "NONE", "jess")])
@@ -481,6 +481,23 @@ def test_an_input_that_is_not_utf8_is_data_error(command, flag, tmp_path, hair_c
     assert not (tmp_path / artifacts[0]).exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("export-sft", "--dialogues"), ("export-sft", "--schemas"), ("evaluate", "--pred"), ("evaluate", "--gold"),
+     ("report", "--breakdowns"), ("split-out-of-domain", "--synonyms")],
+)
+def test_an_input_with_an_unpaired_surrogate_escape_is_data_error(command, flag, tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    argv, artifacts, *_ = SUBCOMMANDS[command](tmp_path)
+    path = Path(argv[argv.index(flag) + 1])
+    text = path.read_text(encoding="utf-8")
+    end = text.rindex('"')  # the closing quote of the file's last string
+    path.write_text(text[:end] + "\\ud83d" + text[end:], encoding="utf-8")
+    assert main(argv) == EXIT_DATA
+    assert "unpaired surrogate escape" in capsys.readouterr().err
+    assert not (tmp_path / artifacts[0]).exists()
+
+
 def test_a_dialogue_with_template_braces_exports_and_fills(tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
     utterance = "a haircut for {{history}}, {{ john"
@@ -512,6 +529,21 @@ def test_fill_reads_a_surrogate_pair_escape_and_records_an_unpaired_one_as_unpar
     ]
 
 
+def test_fill_multistep_treats_a_slot_reply_holding_a_surrogate_as_absent(tmp_path, hair_catalog, caplog):
+    _fixture_files(tmp_path, hair_catalog)
+    replies = [r for i in range(6) for r in (f"person {i}", "NONE", "jess")]
+    replies[0] = "john \ud83d"
+    # ensure_ascii writes the lone surrogate as an escape, the one form a UTF-8 file can hold
+    (tmp_path / "multistep.script").write_text("".join(json.dumps(r) + "\n" for r in replies), encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["fill-multistep"](tmp_path)
+    with caplog.at_level(logging.WARNING):
+        assert main(argv) == EXIT_OK
+    rows = _jsonl_file(tmp_path / "out.jsonl")
+    assert [r["arguments"] for r in rows[:2]] == [{"stylist": "jess"}, {"name": "person 1", "stylist": "jess"}]
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert "'name' of dialogue 'd0'" in warning and "surrogate" in warning
+
+
 def test_reject_sample_counts_an_unpaired_surrogate_as_a_parse_failure(tmp_path, hair_catalog):
     _fixture_files(tmp_path, hair_catalog)
     _write_jsonl(tmp_path / "sample.script", [o for i in range(6) for o in (
@@ -525,7 +557,7 @@ def test_reject_sample_counts_an_unpaired_surrogate_as_a_parse_failure(tmp_path,
 def test_reject_sample_keeps_one_of_two_candidates_that_differ_only_in_order_or_format(
     tmp_path, hair_catalog, hair_dialogue
 ):
-    (tmp_path / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
     _write_jsonl(tmp_path / "dialogues.jsonl", [dialogue_to_obj(hair_dialogue)])
     _write_jsonl(tmp_path / "sample.script", ['{"name": "John", "time": "3pm"}',
                                               "```json\n{'time': '3PM', 'NAME': 'john',}\n```"])

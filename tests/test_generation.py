@@ -27,9 +27,9 @@ from arground.generation import (
     open_replay,
 )
 from arground.sampler import SamplerConfig, rejection_sample
-from arground.schema import dialogue_to_obj, dump_schema_catalog
+from arground.schema import dialogue_to_obj
 
-from conftest import jsonl, make_dialogue
+from conftest import HAIR_CATALOG_JSON, jsonl, make_dialogue
 
 
 class _FlakyStub(BaseHTTPRequestHandler):
@@ -266,11 +266,10 @@ def test_an_http_spec_names_the_model_or_reads_it_from_the_environment(spec, mod
 
 @pytest.mark.parametrize("base_url", ["localhost:8000/v1", "ftp://example.org/v1", "http://", "http:///v1",
                                       "http://:8000/v1"])
-def test_fill_refuses_a_base_url_that_is_not_http_before_any_request(base_url, tmp_path, hair_catalog,
-                                                                     monkeypatch, capsys):
+def test_fill_refuses_a_base_url_that_is_not_http_before_any_request(base_url, tmp_path, monkeypatch, capsys):
     sent = []
     monkeypatch.setattr(HttpBackend, "_post", lambda self, payload: sent.append(payload))
-    argv = _http_argv("fill", 0, tmp_path, hair_catalog, monkeypatch)
+    argv = _http_argv("fill", 0, tmp_path, monkeypatch)
     argv[argv.index("--backend") + 1] = "http:stub"
     monkeypatch.setenv("ARGROUND_BASE_URL", base_url)
     assert main(argv) == EXIT_BACKEND
@@ -279,48 +278,66 @@ def test_fill_refuses_a_base_url_that_is_not_http_before_any_request(base_url, t
 
 
 @pytest.mark.parametrize("temperature", ["nan", "inf"])
-def test_fill_refuses_a_temperature_that_is_not_finite_before_any_request(temperature, tmp_path, hair_catalog,
-                                                                          monkeypatch, capsys):
+def test_fill_refuses_a_temperature_that_is_not_finite_before_any_request(temperature, tmp_path, monkeypatch,
+                                                                          capsys):
     sent = []
     monkeypatch.setattr(HttpBackend, "_post", lambda self, payload: sent.append(payload))
-    argv = _http_argv("fill", 0, tmp_path, hair_catalog, monkeypatch) + ["--temperature", temperature]
+    argv = _http_argv("fill", 0, tmp_path, monkeypatch) + ["--temperature", temperature]
     assert main(argv) == EXIT_USAGE
     assert "temperature must be a finite number >= 0" in capsys.readouterr().err
     assert sent == [] and not (tmp_path / "out.jsonl").exists()
 
 
-def _http_argv(command, port, d, hair_catalog, monkeypatch):
+def _http_argv(command, port, d, monkeypatch):
     """``command`` on three dialogues against the stub, one request at a time, recording to ``d/log.jsonl``."""
     monkeypatch.setenv("ARGROUND_API_KEY", "test-key")
     monkeypatch.setenv("ARGROUND_BASE_URL", f"http://127.0.0.1:{port}")
     monkeypatch.setenv("ARGROUND_MODEL", "stub")
     dialogues = [make_dialogue(f"d{i}", "salon", "hair_appointment", {"name": "john"}) for i in range(3)]
-    (d / "catalog.json").write_text(dump_schema_catalog(hair_catalog), encoding="utf-8")
+    (d / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
     (d / "dialogues.jsonl").write_text(jsonl(map(dialogue_to_obj, dialogues)), encoding="utf-8")
     return [command, "--dialogues", str(d / "dialogues.jsonl"), "--schemas", str(d / "catalog.json"),
             "--backend", f"record:{d / 'log.jsonl'}", "--in-flight", "1", "--out", str(d / "out.jsonl")]
 
 
-def test_fill_on_a_null_completion_exits_3_and_logs_no_bad_record(flaky_stub, tmp_path, hair_catalog,
-                                                                   monkeypatch, capsys):
+def test_fill_on_a_null_completion_exits_3_and_logs_no_bad_record(flaky_stub, tmp_path, monkeypatch, capsys):
     _FlakyStub.statuses, _FlakyStub.contents = [200] * 3, ['{"name": "john"}', None]
-    assert main(_http_argv("fill", flaky_stub, tmp_path, hair_catalog, monkeypatch)) == EXIT_BACKEND
+    assert main(_http_argv("fill", flaky_stub, tmp_path, monkeypatch)) == EXIT_BACKEND
     assert "malformed completion response" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
     open_replay(tmp_path / "log.jsonl")  # no LogCorrupt
     assert len((tmp_path / "log.jsonl").read_text(encoding="utf-8").splitlines()) == 2  # d0 and d2
 
 
-def test_reject_sample_skips_a_dialogue_whose_completion_is_null(flaky_stub, tmp_path, hair_catalog,
-                                                                  monkeypatch, caplog):
+def test_reject_sample_skips_a_dialogue_whose_completion_is_null(flaky_stub, tmp_path, monkeypatch, caplog):
     _FlakyStub.statuses, _FlakyStub.contents = [200] * 3, ['{"name": "john"}', None]
-    argv = _http_argv("reject-sample", flaky_stub, tmp_path, hair_catalog, monkeypatch)
+    argv = _http_argv("reject-sample", flaky_stub, tmp_path, monkeypatch)
     with caplog.at_level(logging.WARNING):
         assert main([*argv, "--k", "2"]) == EXIT_OK
     (warning,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert warning.startswith("skipping dialogue 'd1': malformed completion response")
     stats = json.loads((tmp_path / "out.jsonl.stats.json").read_text(encoding="utf-8"))
     assert stats["skipped_dialogues"] == 1 and stats["generated"] == 4
+
+
+def test_record_stores_a_lone_surrogate_reply_that_replay_serves_as_http_did(flaky_stub, tmp_path, monkeypatch):
+    argv = [*_http_argv("reject-sample", flaky_stub, tmp_path, monkeypatch), "--k", "2"]
+    log = tmp_path / "log.jsonl"
+
+    def run(backend, out):
+        _FlakyStub.statuses, _FlakyStub.contents = [200] * 3, ['{"name": "john"} \ud83d'] * 3
+        args = list(argv)
+        args[args.index("--backend") + 1] = backend
+        args[args.index("--out") + 1] = str(tmp_path / out)
+        assert main(args) == EXIT_OK
+        return (tmp_path / out).read_bytes()
+
+    live = run("http:stub", "live.jsonl")
+    assert run(f"record:{log}", "recorded.jsonl") == live
+    assert _FlakyStub.requests == 6
+    assert len(log.read_text(encoding="ascii").splitlines()) == 3
+    assert run(f"replay:{log}", "replayed.jsonl") == live
+    assert _FlakyStub.requests == 6
 
 
 # --- generate_all: the one dispatch loop ----------------------------------------

@@ -126,15 +126,6 @@ def test_length_gap_at_threshold_agrees_with_oracle(pair):
     _agrees_with_oracle(pair)
 
 
-@given(near_miss_pairs(max_size=80), st.floats(0.0, 1.0))
-@settings(deadline=None)
-def test_custom_threshold_agrees_with_definition(pair, threshold):
-    a, b = pair
-    longest = max(len(a), len(b))
-    expected = longest == 0 or 1.0 - edit_distance(a, b) / longest >= threshold
-    assert values_match(a, b, threshold) == expected
-
-
 class TestClassifyErrors:
     def test_perfect_match(self, hair_schema):
         b = classify_errors(amap(("name", "john"), ("time", "3pm")), GOLD, hair_schema)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from arground.cli import EXIT_DATA, main
-from arground.schema import ApiSchema, SlotSpec, dialogue_to_obj, dump_schema_catalog
+from arground.schema import dialogue_to_obj
 from arground.splits import split_in_domain, split_out_of_domain
 
 from conftest import jsonl, make_dialogue
@@ -50,8 +50,9 @@ def test_out_of_domain_holds_out_the_synonym_closure_in_any_order():
 
 
 def _split_argv(d, dialogues, kind, *extra):
-    catalog = {"hair_appointment": ApiSchema("hair_appointment", "Book.", (SlotSpec("name", "free-text"),))}
-    (d / "catalog.json").write_text(dump_schema_catalog(catalog), encoding="utf-8")
+    catalog = [{"api_name": "hair_appointment", "description": "Book.",
+                "slots": [{"name": "name", "kind": "free-text"}]}]
+    (d / "catalog.json").write_text(json.dumps(catalog), encoding="utf-8")
     (d / "dialogues.jsonl").write_text(jsonl(map(dialogue_to_obj, dialogues)), encoding="utf-8")
     (d / "synonyms.json").write_text(json.dumps({"taxi": "cab"}), encoding="utf-8")
     return ["split", kind, "--dialogues", str(d / "dialogues.jsonl"), "--schemas", str(d / "catalog.json"),
