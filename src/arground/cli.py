@@ -229,7 +229,7 @@ def _cmd_evaluate(args) -> dict[str, str]:
 
 
 def _cmd_report(args) -> dict[str, str]:
-    return {args.out: emit_error_panel(_jsonl_rows(args.breakdowns), args.group_by)}
+    return {args.out: emit_error_panel(read_jsonl(args.breakdowns, "breakdowns"), args.group_by)}
 
 
 def _load_synonyms(path) -> dict[str, str]:

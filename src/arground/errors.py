@@ -70,7 +70,7 @@ class AlignmentError(ArgroundError):
 
 
 class InvalidBreakdown(ArgroundError):
-    """A serialized error breakdown lacks a count or holds a non-numeric one."""
+    """A serialized error breakdown that classify_errors could not have written."""
 
 
 # --- prompting -------------------------------------------------------------

@@ -16,9 +16,9 @@ import io
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import AlignmentError, ArgroundError, EmptyCorpus
+from .errors import AlignmentError, ArgroundError, EmptyCorpus, InvalidBreakdown
 from .parsing import serialize_argument_map
 from .scoring import VERDICT_CORRECT, ErrorBreakdown
 from .schema import ArgumentMap
@@ -188,18 +188,27 @@ def metrics_report_csv(report: MetricsReport, dataset: str, split: str, backend:
     return _csv_text(METRICS_CSV_COLUMNS, [[dataset, split, backend, *astuple(report)]])
 
 
-def emit_error_panel(rows: list[dict], group_by: str) -> str:
-    """CSV with one row per group: group,nk_rate,mk_rate,sv_rate,hv_rate,n_samples."""
-    if not rows:
-        raise EmptyCorpus("no breakdowns to report")
+def emit_error_panel(rows: Iterable[tuple[str, dict]], group_by: str) -> str:
+    """CSV with one row per group: group,nk_rate,mk_rate,sv_rate,hv_rate,n_samples.
+
+    ``rows`` holds ``(where, row)`` pairs as ``schema.read_jsonl`` yields them;
+    a row without a valid breakdown raises, naming ``where`` and the row's id.
+    """
     if group_by not in ("model", "split"):
         raise ValueError(f"group_by must be 'model' or 'split', got {group_by!r}")
     groups: dict[str, list[ErrorBreakdown]] = {}
-    for row in rows:
+    for where, row in rows:
+        if isinstance(row.get("id"), str):
+            where = f"{where} (id {row['id']!r})"
         if "breakdown" not in row:
-            raise ArgroundError("rows must carry a 'breakdown' field (run evaluate --scored-out)")
-        label = str(row.get(group_by, "unknown"))
-        groups.setdefault(label, []).append(ErrorBreakdown.from_obj(row["breakdown"]))
+            raise ArgroundError(f"{where}: no 'breakdown' field (run evaluate --scored-out)")
+        try:
+            breakdown = ErrorBreakdown.from_obj(row["breakdown"])
+        except InvalidBreakdown as exc:
+            raise InvalidBreakdown(f"{where}: {exc}") from exc
+        groups.setdefault(str(row.get(group_by, "unknown")), []).append(breakdown)
+    if not groups:
+        raise EmptyCorpus("no breakdowns to report")
     return _csv_text(
         ("group", "nk_rate", "mk_rate", "sv_rate", "hv_rate", "n_samples"),
         [[label, *error_rates(breakdowns), len(breakdowns)] for label, breakdowns in groups.items()],

@@ -260,6 +260,8 @@ def _decode(text: str, where: str, lineno: int | None = None):
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where} is not valid JSON: {exc.msg}", line=lineno or exc.lineno, column=exc.colno)
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or nesting past the stack
+        raise ParseError(f"{where}: {exc}", line=lineno)
     # Only an escape can put a surrogate into text that was read as UTF-8.
     if "\\u" in text and has_surrogate(json.dumps(value, ensure_ascii=False)):
         raise ParseError(f"{where}: unpaired surrogate escape", line=lineno)

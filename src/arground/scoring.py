@@ -28,6 +28,10 @@ VERDICT_MK = "MK"
 VERDICT_SV = "SV"
 VERDICT_HV = "HV"
 
+# No real map has more slots than this. A float holds every count up to it
+# exactly, and rates summed over any number of rows stay finite.
+MAX_COUNT = 2**53
+
 
 @dataclass(frozen=True)
 class ErrorBreakdown:
@@ -58,19 +62,25 @@ class ErrorBreakdown:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ErrorBreakdown":
-        """Inverse of :meth:`to_obj`; raises InvalidBreakdown on a missing or bad field."""
+        """Inverse of :meth:`to_obj`; raises InvalidBreakdown on a breakdown that
+        :func:`classify_errors` could not have written: a missing field, a count
+        that is not an integer in [0, MAX_COUNT], an odd ``n_total`` or one below
+        ``2 * n_mk``, or a reward that is not ``reward_value`` of the counts."""
         try:
-            return cls(
-                n_nk=int(obj["n_nk"]),
-                n_mk=int(obj["n_mk"]),
-                n_sv=int(obj["n_sv"]),
-                n_hv=int(obj["n_hv"]),
-                n_total=int(obj["n_total"]),
-                reward=float(obj["reward"]),
-                per_slot_verdicts=tuple((k, v) for k, v in obj.get("verdicts", [])),
-            )
+            counts = [obj[name] for name in ("n_nk", "n_mk", "n_sv", "n_hv", "n_total")]
+            if not all(type(n) is int and 0 <= n <= MAX_COUNT for n in counts):
+                raise InvalidBreakdown(f"malformed breakdown: counts must be integers in [0, 2**53], got {counts}")
+            n_nk, n_mk, n_sv, n_hv, n_total = counts
+            if n_total % 2 or 2 * n_mk > n_total:
+                raise InvalidBreakdown(f"malformed breakdown: n_total {n_total} is odd or below 2 * n_mk {n_mk}")
+            reward = obj["reward"]
+            # reward_value is always finite, so this also refuses NaN and infinities
+            if type(reward) not in (int, float) or reward != reward_value(n_nk + n_mk + n_sv + n_hv, n_total):
+                raise InvalidBreakdown(f"malformed breakdown: reward {reward!r} does not follow from the counts")
+            verdicts = tuple((k, v) for k, v in obj.get("verdicts", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidBreakdown(f"malformed breakdown: {type(exc).__name__} {exc}") from exc
+        return cls(n_nk, n_mk, n_sv, n_hv, n_total, float(reward), verdicts)
 
 
 def reward_value(n_error: int, n_total: int) -> float:

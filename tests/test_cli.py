@@ -85,6 +85,76 @@ def test_report_malformed_breakdown_is_data_error(tmp_path, breakdown):
     assert not (tmp_path / "panel.csv").exists()
 
 
+_COUNTS = '"n_mk": 0, "n_sv": 0, "n_hv": 0'
+
+
+@pytest.mark.parametrize(
+    "breakdown, row_id",
+    [
+        (f'{{"n_nk": {10**400}, {_COUNTS}, "n_total": 2, "reward": -1.0}}', None),
+        (f'{{"n_nk": {2**53 + 1}, {_COUNTS}, "n_total": 0, "reward": -1.0}}', None),
+        (f'{{"n_nk": {"9" * 5000}, {_COUNTS}, "n_total": 2, "reward": -1.0}}', None),
+        ("[" * 100_000 + "]" * 100_000, None),
+        (f'{{"n_nk": 5, {_COUNTS}, "n_total": -1, "reward": 1.0}}', "d7"),
+        (f'{{"n_nk": true, {_COUNTS}, "n_total": 2, "reward": 0.0}}', None),
+        (f'{{"n_nk": 2.7, {_COUNTS}, "n_total": 2, "reward": -1.0}}', "d7"),
+        (f'{{"n_nk": "5", {_COUNTS}, "n_total": 2, "reward": -1.0}}', None),
+        (f'{{"n_nk": 0, {_COUNTS}, "n_total": 3, "reward": 1.0}}', None),
+        ('{"n_nk": 0, "n_mk": 2, "n_sv": 0, "n_hv": 0, "n_total": 2, "reward": -1.0}', None),
+        (f'{{"n_nk": 1, {_COUNTS}, "n_total": 4, "reward": 1.0}}', "d7"),
+        (f'{{"n_nk": 0, {_COUNTS}, "n_total": 2, "reward": NaN}}', None),
+        (f'{{"n_nk": 0, {_COUNTS}, "n_total": 2, "reward": true}}', None),
+    ],
+    ids=["huge-count", "count-past-2**53", "count-past-int-digit-limit",
+         "nested-past-recursion-limit", "negative-total", "bool-count", "float-count",
+         "string-count", "odd-total", "mk-past-half-total", "reward-off-counts", "nan-reward", "bool-reward"],
+)
+def test_report_refuses_a_breakdown_evaluate_could_not_write_naming_its_row(breakdown, row_id, tmp_path, capsys):
+    good = f'{{"n_nk": 0, {_COUNTS}, "n_total": 2, "reward": 1.0}}'
+    label = f'"id": "{row_id}", ' if row_id else ""
+    (tmp_path / "scored.jsonl").write_text(
+        f'{{"split": "test", "breakdown": {good}}}\n\n{{{label}"split": "test", "breakdown": {breakdown}}}\n',
+        encoding="utf-8",
+    )
+    argv = ["report", "--breakdowns", str(tmp_path / "scored.jsonl"), "--group-by", "split",
+            "--out", str(tmp_path / "panel.csv")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: breakdowns line 3" in err
+    assert not row_id or f"(id '{row_id}')" in err
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_report_on_evaluate_scored_output_is_unchanged(tmp_path):
+    """A panel over every verdict kind, pinned byte for byte."""
+    (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
+    gold = {"name": "john", "time": "3pm", "stylist": "jess"}
+    predictions = [gold, {"name": "jon", "colour": "red"}, {"time": "purple", "stylist": "jack"}, {}]
+    dialogues = [make_dialogue(f"d{i}", "salon", "hair_appointment", gold) for i in range(len(predictions))]
+    _write_jsonl(tmp_path / "gold.jsonl", map(dialogue_to_obj, dialogues))
+    _write_jsonl(tmp_path / "pred.jsonl", [
+        {"id": d.id, "model": f"m{i % 2}", "arguments": arguments}
+        for i, (d, arguments) in enumerate(zip(dialogues, predictions))
+    ])
+    argv = ["evaluate", "--pred", str(tmp_path / "pred.jsonl"), "--gold", str(tmp_path / "gold.jsonl"),
+            "--schemas", str(tmp_path / "catalog.json"), "--out", str(tmp_path / "metrics.csv"),
+            "--scored-out", str(tmp_path / "scored.jsonl"), "--split", "test"]
+    assert main(argv) == EXIT_OK
+    panels = {}
+    for group_by in ("model", "split"):
+        out = tmp_path / f"{group_by}.csv"
+        assert main(["report", "--breakdowns", str(tmp_path / "scored.jsonl"), "--group-by", group_by,
+                     "--out", str(out)]) == EXIT_OK
+        panels[group_by] = out.read_bytes()
+    assert panels == {
+        "model": b"group,nk_rate,mk_rate,sv_rate,hv_rate,n_samples\n"
+                 b"m0,0.0,0.08333333333333333,0.08333333333333333,0.08333333333333333,2\n"
+                 b"m1,0.08333333333333333,0.4166666666666667,0.08333333333333333,0.0,2\n",
+        "split": b"group,nk_rate,mk_rate,sv_rate,hv_rate,n_samples\n"
+                 b"test,0.041666666666666664,0.25,0.08333333333333333,0.041666666666666664,4\n",
+    }
+
+
 def test_single_group_panel_matches_evaluate_corpus(hair_schema):
     gold = ArgumentMap.from_dict({"name": "john", "time": "3pm", "stylist": "jess"})
     preds = [
@@ -95,7 +165,7 @@ def test_single_group_panel_matches_evaluate_corpus(hair_schema):
     pairs = [(pred, gold) for pred in preds]
     breakdowns = [classify_errors(pred, gold, hair_schema) for pred, gold in pairs]
     report = evaluate_corpus(pairs, breakdowns)
-    rows = [{"split": "test", "breakdown": b.to_obj()} for b in breakdowns]
+    rows = [(f"row {i}", {"split": "test", "breakdown": b.to_obj()}) for i, b in enumerate(breakdowns)]
     (panel,) = csv.DictReader(io.StringIO(emit_error_panel(rows, "split")))
     got = tuple(float(panel[name]) for name in ("nk_rate", "mk_rate", "sv_rate", "hv_rate"))
     assert got == (report.nk_rate, report.mk_rate, report.sv_rate, report.hv_rate)

@@ -237,23 +237,66 @@ def test_the_request_carries_the_payload_and_headers(flaky_stub, stop):
     assert headers["Authorization"] == "Bearer test-key"
 
 
-def test_setup_imports_no_http_client(tmp_path):
-    """Building a backend leaves the HTTP stack unimported, so set-up does not pay for it."""
+def _run_set_up(tmp_path, code: str) -> str:
+    """Run ``code`` in a fresh interpreter after the set-up path (import the
+    package, load a catalog and a dataset, build a replay and an HTTP backend);
+    return its stdout."""
+    (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
+    dialogue = make_dialogue("d1", "salon", "hair_appointment", {"name": "john"})
+    (tmp_path / "dialogues.jsonl").write_text(jsonl([dialogue_to_obj(dialogue)]), encoding="utf-8")
     log = tmp_path / "log.jsonl"
     log.write_text(jsonl([asdict(GenerationRecord(GenerationRequest("p"), ("o",), "replay"))]),
                    encoding="utf-8")
-    code = (
-        "import sys, arground, arground.cli\n"
+    set_up = (
+        "import sys, arground\n"
         "from arground.generation import backend_from_spec\n"
+        f"catalog = arground.load_schema_catalog({str(tmp_path / 'catalog.json')!r})\n"
+        f"arground.load_dialogues({str(tmp_path / 'dialogues.jsonl')!r}, catalog)\n"
         f"backend_from_spec({'replay:' + str(log)!r})\n"
         "backend_from_spec('http:m')\n"
-        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'requests') if m in sys.modules))\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("ARGROUND_")}
     env.update(ARGROUND_API_KEY="test-key", PYTHONPATH=str(Path(arground.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", set_up + code], env=env, capture_output=True, text=True,
+                          timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_setup_imports_no_http_client(tmp_path):
+    """Building a backend leaves the HTTP stack unimported, so set-up does not pay for it."""
+    code = (
+        "import arground.cli\n"
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'requests') if m in sys.modules))\n"
+    )
+    assert _run_set_up(tmp_path, code) == "[]"
+
+
+def test_setup_imports_only_the_modules_it_runs(tmp_path):
+    """The package loads a module when one of its names is first used, and
+    every public name still resolves to its module's object."""
+    code = (
+        "import importlib\n"
+        "lazy = ('metrics', 'parsing', 'prompting', 'sampler', 'scoring', 'splits')\n"
+        "print(sorted(m for m in lazy if 'arground.' + m in sys.modules))\n"
+        "print(sorted(set(arground.__all__) - set(dir(arground))))\n"
+        "names = {}\n"
+        "exec('from arground import *', names)\n"
+        "print(sorted(set(arground.__all__) - set(names)))\n"
+        "print(sorted(n for n in arground.__all__ if names[n] is not getattr(arground, n)\n"
+        "             or names[n] is not getattr(importlib.import_module(names[n].__module__), n)))\n"
+        "try:\n"
+        "    arground.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _run_set_up(tmp_path, code).splitlines() == [
+        "[]",
+        "[]",
+        "[]",
+        "[]",
+        "module 'arground' has no attribute 'no_such_name'",
+    ]
 
 
 @pytest.mark.parametrize("spec, model", [("http:gpt-x", "gpt-x"), ("http:", "env-model"), ("http:default", "env-model")])
