@@ -62,14 +62,6 @@ def levenshtein(a: str, b: str) -> int:
     return dist
 
 
-def similarity(a: str, b: str) -> float:
-    """1 - dist/max(len); 1.0 for two empty strings."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
-
-
 def values_match(pred: str, gold: str) -> bool:
     """Symmetric fuzzy equality on canonicalized strings."""
     if pred == gold:

@@ -103,18 +103,26 @@ def request_key(request: GenerationRequest) -> str:
 
 
 def record_from_obj(obj: dict) -> GenerationRecord:
-    req = obj["request"]
+    """Inverse of ``asdict(record)``; raises TypeError or ValueError on a
+    record that ``ReplayBackend`` could not have written."""
+    req, outputs = obj["request"], obj["outputs"]
+    max_tokens, n_samples, temperature = req["max_tokens"], req["n_samples"], req["temperature"]
+    stop_sequences = req.get("stop_sequences", [])
+    if type(max_tokens) is not int or type(n_samples) is not int:
+        raise TypeError("'max_tokens' and 'n_samples' must be integers")
+    if type(temperature) not in (int, float):  # GenerationRequest refuses NaN, infinities and negatives
+        raise TypeError("'temperature' must be a number")
+    for name, strings in (("stop_sequences", stop_sequences), ("outputs", outputs)):
+        if not isinstance(strings, list) or not all(isinstance(v, str) for v in strings):
+            raise TypeError(f"'{name}' must be a list of strings")
     request = GenerationRequest(
         prompt=req["prompt"],
-        temperature=float(req["temperature"]),
-        max_tokens=int(req["max_tokens"]),
-        n_samples=int(req["n_samples"]),
-        stop_sequences=tuple(req.get("stop_sequences", ())),
+        temperature=float(temperature),
+        max_tokens=max_tokens,
+        n_samples=n_samples,
+        stop_sequences=tuple(stop_sequences),
         tag=req.get("tag", ""),
     )
-    outputs = obj["outputs"]
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise TypeError("'outputs' must be a list of strings")
     return GenerationRecord(
         request=request,
         outputs=tuple(outputs),
@@ -149,7 +157,8 @@ class MockBackend(GenerationBackend):
     @classmethod
     def from_script(cls, path) -> "MockBackend":
         outputs = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        # Only "\n" ends a line, as in schema.read_jsonl, which is not used: it refuses lone surrogates
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
             line = line.strip()
             if not line:
                 continue
@@ -157,6 +166,8 @@ class MockBackend(GenerationBackend):
                 value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BackendError(f"mock script line {lineno} is not JSON: {exc.msg}")
+            except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or nesting past the stack
+                raise BackendError(f"mock script line {lineno}: {exc}")
             if not isinstance(value, str):
                 raise BackendError(f"mock script line {lineno} must be a JSON string")
             outputs.append(value)
@@ -383,7 +394,7 @@ def open_replay(path, inner: GenerationBackend | None = None) -> ReplayBackend:
             if line:
                 try:
                     record = record_from_obj(json.loads(line.decode("utf-8")))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                     raise LogCorrupt(f"unreadable record log entry: {exc}", offset=offset)
                 if inner is None or record.backend_id == inner.backend_id:
                     index.setdefault(request_key(record.request), record.outputs)

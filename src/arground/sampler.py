@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import BackendError, DatasetInvalid, GoldSchemaMismatch, MalformedArguments, NoArgumentObject
+from .errors import BackendError, MalformedArguments, NoArgumentObject
 from .generation import GenerationBackend, generate_all
 from .parsing import extract_argument_map, serialize_argument_map
 from .prompting import build_default_prompt, default_request
@@ -56,29 +56,11 @@ class SamplerConfig:
             raise ValueError("k must be >= 1")
 
 
-def _schema_for(dialogue: Dialogue, catalog: dict[str, ApiSchema]) -> ApiSchema:
-    schema = catalog.get(dialogue.target_api)
-    if schema is None:
-        raise DatasetInvalid(
-            f"dialogue '{dialogue.id}': target_api '{dialogue.target_api}' not in catalog"
-        )
-    return schema
-
-
-def _gold_in_schema_order(dialogue: Dialogue, schema: ApiSchema) -> ArgumentMap:
-    gold = dialogue.gold_arguments
-    for key, _ in gold:
-        if schema.slot(key) is None:
-            raise GoldSchemaMismatch(
-                f"dialogue '{dialogue.id}': gold key '{key}' not in schema '{schema.api_name}'"
-            )
-    ordered = tuple((s.name, gold.get(s.name)) for s in schema.slots if s.name in gold)
-    return ArgumentMap(ordered)
-
-
 def gold_training_example(dialogue: Dialogue, schema: ApiSchema, prompt: str) -> TrainingExample:
-    """The gold example for ``prompt``, the dialogue's default prompt."""
-    ordered = _gold_in_schema_order(dialogue, schema)
+    """The gold example for ``prompt``, the dialogue's default prompt: its
+    completion is the gold map in schema order."""
+    gold = dialogue.gold_arguments.as_dict()
+    ordered = ArgumentMap(tuple((s.name, gold[s.name]) for s in schema.slots if s.name in gold))
     return TrainingExample(
         prompt=prompt,
         completion=serialize_argument_map(ordered, "given"),
@@ -91,10 +73,11 @@ def gold_training_example(dialogue: Dialogue, schema: ApiSchema, prompt: str) ->
 def export_sft_dataset(
     dialogues: list[Dialogue], catalog: dict[str, ApiSchema]
 ) -> list[TrainingExample]:
-    """One gold example per dialogue, in input order."""
+    """One gold example per dialogue, in input order; ``dialogues`` come from
+    ``load_dialogues(…, catalog)``."""
     examples = []
     for dialogue in dialogues:
-        schema = _schema_for(dialogue, catalog)
+        schema = catalog[dialogue.target_api]
         examples.append(gold_training_example(dialogue, schema, build_default_prompt(schema, dialogue).text))
     return examples
 
@@ -107,15 +90,14 @@ def rejection_sample(
 ) -> tuple[list[TrainingExample], SamplerStats]:
     """Generate, score, filter, and assemble the augmented dataset.
 
-    Emission order follows input dialogue order regardless of the in-flight
-    bound: per dialogue the gold example first, then kept samples in
-    generation order.
+    ``dialogues`` come from ``load_dialogues(…, catalog)``. Emission order
+    follows input dialogue order regardless of the in-flight bound: per
+    dialogue the gold example first, then kept samples in generation order.
     """
     stats = SamplerStats()
-    # Validate every dialogue before any request is sent; a dataset bug is fatal.
     golds, groups = [], []
     for dialogue in dialogues:
-        schema = _schema_for(dialogue, catalog)
+        schema = catalog[dialogue.target_api]
         request = default_request(schema, dialogue, config.k, config.temperature, config.max_tokens)
         golds.append(gold_training_example(dialogue, schema, request.prompt))
         groups.append([request])

@@ -8,7 +8,10 @@ about casing or whitespace again. The entry points are
 for dialogues and their turns (``load_dialogues`` reads a dataset through
 it), and ``ArgumentMap.from_dict`` for argument maps from JSON objects (gold
 arguments and prediction rows); ``extract_argument_map`` and
-``multistep_map`` build maps from model output and slot replies.
+``multistep_map`` build maps from model output and slot replies. Given a
+catalog, ``load_dialogues`` also checks each dialogue against it, once: its
+``target_api`` names a schema and every gold key is a slot of that schema,
+so scoring and sampling never re-check either.
 
 Input files are decoded by ``read_json`` (one document) or ``read_jsonl``
 (one object per line). Both refuse a ``\\u`` escape that decodes to an
@@ -33,6 +36,7 @@ from typing import Iterator
 from .errors import (
     DatasetInvalid,
     DuplicateApi,
+    GoldSchemaMismatch,
     InvalidArgumentMap,
     InvalidKey,
     ParseError,
@@ -282,9 +286,11 @@ def read_jsonl(source, name: str) -> Iterator[tuple[str, dict]]:
     ``where`` being ``"<name> line N"``.
 
     Raises ParseError, naming the line, for a line that ``read_json`` would
-    refuse or that is not a JSON object.
+    refuse or that is not a JSON object. Lines end at ``\\n`` only: the
+    program's JSONL writers put U+0085, U+2028 and U+2029 into strings raw,
+    and ``str.splitlines`` would break a line there.
     """
-    for lineno, line in enumerate(_read_source(source).splitlines(), start=1):
+    for lineno, line in enumerate(_read_source(source).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -427,7 +433,10 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
 
 
 def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[Dialogue]:
-    """Load a JSONL dialogue dataset; resolves target_api when a catalog is given."""
+    """Load a JSONL dialogue dataset. Given a catalog, a target_api outside it
+    raises DatasetInvalid, and a gold key that is not a slot of the target
+    schema raises GoldSchemaMismatch; callers with that catalog rely on both."""
+    slots = {name: frozenset(schema.slot_names()) for name, schema in (catalog or {}).items()}
     dialogues: list[Dialogue] = []
     seen_ids: set[str] = set()
     for where, obj in read_jsonl(source, "dataset"):
@@ -438,9 +447,12 @@ def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[
         if dialogue.id in seen_ids:
             raise DatasetInvalid(f"{where}: duplicate dialogue id '{dialogue.id}'")
         seen_ids.add(dialogue.id)
-        if catalog is not None and dialogue.target_api not in catalog:
-            raise DatasetInvalid(
-                f"dialogue '{dialogue.id}': target_api '{dialogue.target_api}' not in catalog"
-            )
+        if catalog is not None:
+            api, where = dialogue.target_api, f"{where}: dialogue '{dialogue.id}'"
+            if api not in slots:
+                raise DatasetInvalid(f"{where}: target_api '{api}' not in catalog")
+            for key, _ in dialogue.gold_arguments:
+                if key not in slots[api]:
+                    raise GoldSchemaMismatch(f"{where}: gold key '{key}' not in schema '{api}'")
         dialogues.append(dialogue)
     return dialogues

@@ -30,7 +30,7 @@ def _write_jsonl(path, rows):
 
 
 def _jsonl_file(path):
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line]
 
 
 def _evaluate_argv(tmp_path, hair_dialogue, arguments):
@@ -409,6 +409,8 @@ def test_in_flight_below_one_is_usage_error(command, in_flight, tmp_path, hair_c
         ("mock:{d}/missing.jsonl", ""),
         ("mock:{d}/log.jsonl", '"{}"\nnot json\n'),
         ("mock:{d}/log.jsonl", b'"{}"\n"\xff"\n'),  # not UTF-8
+        pytest.param("mock:{d}/log.jsonl", '"{}"\n' + "[" * 100_000 + "]" * 100_000 + "\n", id="mock-deep-nesting"),
+        pytest.param("mock:{d}/log.jsonl", '"{}"\n' + "7" * 5000 + "\n", id="mock-past-the-digit-limit"),
         ("record:{d}/log.jsonl", ""),  # no ARGROUND_API_KEY
     ],
 )
@@ -480,6 +482,96 @@ def test_a_blank_gold_key_is_data_error_naming_its_dialogue(tmp_path, hair_catal
     argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
     assert main(argv) == EXIT_DATA
     assert "dialogue 'd0'" in capsys.readouterr().err
+
+
+class _Recording(GenerationBackend):
+    """Answers every request with empty objects and keeps each request it gets."""
+
+    backend_id = "recording"
+
+    def __init__(self):
+        self.requests = []
+
+    def generate(self, request):
+        self.requests.append(request)
+        return GenerationRecord(request, ("{}",) * request.n_samples, self.backend_id)
+
+
+# the third dialogue of the fixture dataset, changed so it no longer fits the catalog
+_MISFITS = {"gold-key-outside-schema": {"gold_arguments": {"name": "person 2", "colour": "red"}},
+            "unknown-target-api": {"target_api": "nail_appointment"}}
+
+
+def _write_misfit(d, misfit):
+    rows = _jsonl_file(d / "dialogues.jsonl")
+    rows[2].update(_MISFITS[misfit])
+    _write_jsonl(d / "dialogues.jsonl", rows)
+
+
+@pytest.mark.parametrize("misfit", sorted(_MISFITS))
+@pytest.mark.parametrize("name", ["export-sft", "reject-sample", "fill-default", "fill-multistep", "evaluate",
+                                  "split-in-domain"])
+def test_a_dialogue_that_does_not_fit_the_catalog_is_data_error_before_any_request(
+    name, misfit, tmp_path, hair_catalog, monkeypatch, capsys
+):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_misfit(tmp_path, misfit)
+    backend = _Recording()
+    monkeypatch.setattr(cli, "backend_from_spec", lambda spec: backend)
+    argv, artifacts, *_ = SUBCOMMANDS[name](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "data error: dataset line 3: dialogue 'd2': " in capsys.readouterr().err
+    assert backend.requests == []
+    assert not any((tmp_path / a).exists() for a in artifacts)
+
+
+def test_split_without_a_catalog_keeps_a_gold_key_outside_the_schema(tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_misfit(tmp_path, "gold-key-outside-schema")
+    argv, *_ = SUBCOMMANDS["split-in-domain"](tmp_path)
+    i = argv.index("--schemas")
+    assert main([*argv[:i], *argv[i + 2:]]) == EXIT_OK
+    rows = _jsonl_file(tmp_path / "train.jsonl") + _jsonl_file(tmp_path / "test.jsonl")
+    assert _MISFITS["gold-key-outside-schema"]["gold_arguments"] in [r["gold_arguments"] for r in rows]
+
+
+# json.dumps(ensure_ascii=False), the program's JSONL writer, leaves these unescaped
+_LINE_SEPARATORS = pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+
+
+@_LINE_SEPARATORS
+def test_a_split_side_holding_a_unicode_line_separator_reads_back(separator, tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    utterance = f"hi{separator}there"
+    (tmp_path / "dialogues.jsonl").write_text("".join(  # ensure_ascii escapes the separator in the input
+        json.dumps({**_GOOD_RECORD, "id": f"d{i}", "turns": [{"speaker": "user", "utterance": utterance}]}) + "\n"
+        for i in range(8)), encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["split-in-domain"](tmp_path)
+    assert main(argv) == EXIT_OK
+    train, test = (tmp_path / "train.jsonl").read_text(encoding="utf-8"), (tmp_path / "test.jsonl").read_text(
+        encoding="utf-8")
+    assert separator in train and separator in test
+    for side in ("train.jsonl", "test.jsonl"):
+        (tmp_path / "dialogues.jsonl").write_text((tmp_path / side).read_text(encoding="utf-8"), encoding="utf-8")
+        argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+        assert main(argv) == EXIT_OK, side
+        rows = _jsonl_file(tmp_path / "out.jsonl")
+        assert len(rows) == 4 and all(utterance in r["prompt"] for r in rows)
+    (tmp_path / "dialogues.jsonl").write_text(train, encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["split-in-domain"](tmp_path)
+    assert main(argv) == EXIT_OK
+    again = _jsonl_file(tmp_path / "train.jsonl") + _jsonl_file(tmp_path / "test.jsonl")
+    assert sorted(r["id"] for r in again) == sorted(json.loads(line)["id"] for line in train.split("\n") if line)
+
+
+@_LINE_SEPARATORS
+def test_a_mock_script_reply_holding_a_unicode_line_separator_is_one_line(separator, tmp_path, hair_catalog):
+    _fixture_files(tmp_path, hair_catalog)
+    _write_jsonl(tmp_path / "default.script", [f'{{"name": "person{separator}{i}"}}' for i in range(6)])
+    assert separator in (tmp_path / "default.script").read_text(encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["fill-default"](tmp_path)
+    assert main(argv) == EXIT_OK
+    assert [r["arguments"] for r in _jsonl_file(tmp_path / "out.jsonl")] == [{"name": f"person {i}"} for i in range(6)]
 
 
 def test_numeric_and_boolean_gold_values_become_strings():

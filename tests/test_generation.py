@@ -15,7 +15,7 @@ import pytest
 import arground
 from arground import generation, prompting, sampler
 from arground.cli import EXIT_BACKEND, EXIT_OK, EXIT_USAGE, main
-from arground.errors import AuthError, BackendError, DatasetInvalid
+from arground.errors import AuthError, BackendError
 from arground.generation import (
     GenerationBackend,
     GenerationRecord,
@@ -487,10 +487,3 @@ def test_rejection_sample_builds_each_default_prompt_once(hair_catalog, monkeypa
     assert len(calls) == len(dialogues)
     schema = hair_catalog["hair_appointment"]
     assert [e.prompt for e in augmented if e.source == "gold"] == [build(schema, d).text for d in dialogues]
-
-
-def test_rejection_sample_on_an_api_missing_from_the_catalog_is_dataset_invalid(hair_catalog):
-    dialogues = [make_dialogue("d0", "salon", "hair_appointment", {"name": "ann"}),
-                 make_dialogue("d1", "nails", "nail_appointment", {"colour": "red"})]
-    with pytest.raises(DatasetInvalid, match="nail_appointment"):
-        rejection_sample(MockBackend([]), dialogues, hair_catalog, SamplerConfig(k=1))

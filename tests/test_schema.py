@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from arground.errors import (
     DatasetInvalid,
     DuplicateApi,
+    GoldSchemaMismatch,
     InvalidArgumentMap,
     InvalidKey,
     ParseError,
@@ -265,8 +266,17 @@ class TestDialogues:
                 "gold_arguments": {},
             }
         )
-        with pytest.raises(DatasetInvalid):
+        with pytest.raises(DatasetInvalid, match=r"^dataset line 1: dialogue 'x': target_api 'nails' not in catalog$"):
             load_dialogues(io.StringIO(line), hair_catalog)
+
+    def test_a_gold_key_outside_its_schema_is_gold_schema_mismatch(self, hair_catalog, hair_dialogue):
+        stray = {**dialogue_to_obj(hair_dialogue), "id": "d2", "gold_arguments": {"name": "ann", "Colour": "red"}}
+        text = jsonl([dialogue_to_obj(hair_dialogue), stray])
+        with pytest.raises(GoldSchemaMismatch, match=r"^dataset line 2: dialogue 'd2': gold key 'colour' not in "
+                                                     r"schema 'hair_appointment'$"):
+            load_dialogues(io.StringIO(text), hair_catalog)
+        # without a catalog there is no schema to check against
+        assert load_dialogues(io.StringIO(text))[1].gold_arguments.keys() == ("name", "colour")
 
     def test_duplicate_id(self, hair_catalog, hair_dialogue):
         text = jsonl([dialogue_to_obj(hair_dialogue)] * 2)

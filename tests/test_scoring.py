@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arground.errors import GoldSchemaMismatch
-from arground.fuzzy import levenshtein, similarity, values_match
+from arground.fuzzy import levenshtein, values_match
 from arground.schema import ApiSchema, ArgumentMap, SlotSpec
 from arground.scoring import ErrorBreakdown, classify_errors, reward_value
 
@@ -43,7 +42,7 @@ class TestValuesMatch:
 
     @given(st.text(max_size=12))
     def test_self_similarity(self, a):
-        assert similarity(a, a) == 1.0
+        assert levenshtein(a, a) == 0 and values_match(a, a)
 
 
 # --- levenshtein / values_match against the oracle on longer strings ----------
@@ -165,10 +164,6 @@ class TestClassifyErrors:
             amap(("name", "john"), ("time", "3pm"), ("stylist", "zorp")), GOLD, hair_schema
         )
         assert b.n_hv == 1 and b.n_error == 1
-
-    def test_gold_schema_mismatch(self, hair_schema):
-        with pytest.raises(GoldSchemaMismatch):
-            classify_errors(amap(), amap(("color", "red")), hair_schema)
 
     def test_verdicts_cover_pred_and_missing(self, hair_schema):
         b = classify_errors(amap(("color", "red")), GOLD, hair_schema)

@@ -84,9 +84,9 @@ def test_a_different_stop_misses(tmp_path):
         replay.generate(_request(stop=("\n",)))
 
 
-def _log_entry(outputs):
-    return json.dumps({"request": {"prompt": "p", "temperature": 0.0, "max_tokens": 256, "n_samples": 1},
-                       "outputs": outputs, "backend_id": "elsewhere"}) + "\n"
+def _log_entry(outputs, **request_fields):
+    request = {"prompt": "p", "temperature": 0.0, "max_tokens": 256, "n_samples": 1, **request_fields}
+    return json.dumps({"request": request, "outputs": outputs, "backend_id": "elsewhere"}) + "\n"
 
 
 def test_log_without_stop_field_keys_like_empty_stop(tmp_path):
@@ -100,6 +100,34 @@ def test_outputs_that_are_not_strings_are_log_corrupt(outputs, tmp_path):
     log = tmp_path / "log.jsonl"
     log.write_text(_log_entry(["x"]) + _log_entry(outputs), encoding="utf-8")
     with pytest.raises(LogCorrupt, match="byte offset"):
+        open_replay(log)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[" * 100_000 + "]" * 100_000 + "\n",
+        _log_entry(["x"], max_tokens=float("inf")),  # json.dumps writes Infinity
+        _log_entry(["x"], n_samples=float("inf")),
+        _log_entry(["x"], max_tokens=256.9),
+        _log_entry(["x"], n_samples=True),
+        _log_entry(["x"], temperature="0"),
+        _log_entry(["x"], temperature=True),
+        _log_entry(["x"], temperature=float("nan")),
+        _log_entry(["x"], temperature=-0.5),
+        _log_entry(["x"], temperature=10**400),
+        _log_entry(["x"], stop_sequences="\n"),
+        _log_entry(["x"], stop_sequences=[1]),
+    ],
+    ids=["deep-nesting", "max-tokens-infinity", "n-samples-infinity", "max-tokens-fraction", "n-samples-bool",
+         "temperature-string", "temperature-bool", "temperature-nan", "temperature-negative",
+         "temperature-past-float", "stop-string", "stop-number"],
+)
+def test_a_line_replay_could_not_have_written_is_log_corrupt_at_its_offset(line, tmp_path):
+    log = tmp_path / "log.jsonl"
+    first = _log_entry(["x"], temperature=0.8, stop_sequences=["\n"])
+    log.write_text(first + line, encoding="utf-8")
+    with pytest.raises(LogCorrupt, match=rf"\(byte offset {len(first.encode())}\)$"):
         open_replay(log)
 
 
