@@ -115,8 +115,12 @@ def _jsonl_rows(path) -> list[dict]:
     return [row for _, row in read_jsonl(path, f"{path}:")]
 
 
+# The encoder json.dumps(..., ensure_ascii=False) would build for every row.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _dump_jsonl(rows: Iterable[dict]) -> str:
-    lines = [json.dumps(r, ensure_ascii=False) for r in rows]
+    lines = [_JSONL_ENCODER.encode(r) for r in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -273,7 +277,8 @@ def build_parser() -> _Parser:
         p.add_argument("--temperature", type=float, default=temperature_default)
         p.add_argument("--max-tokens", type=int, default=256)
         p.add_argument("--in-flight", type=int, default=DEFAULT_IN_FLIGHT,
-                       help="at most N backend requests outstanding; mock backends are sent one at a time")
+                       help="at most N backend requests outstanding; "
+                            "mock and replay: backends are answered one at a time")
 
     p = sub.add_parser("export-sft", help="emit gold prompt/completion training data")
     p.add_argument("--dialogues", required=True)

@@ -95,40 +95,51 @@ class GenerationRecord:
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
+# The encoder json.dumps(..., sort_keys=True, ensure_ascii=False) would build on every call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def request_key(request: GenerationRequest) -> str:
     """Content hash of every request field but the tag; indexes record logs."""
     fields = {name: value for name, value in vars(request).items() if name != "tag"}
-    payload = json.dumps(fields, sort_keys=True, ensure_ascii=False)
+    payload = _KEY_ENCODER.encode(fields)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def record_from_obj(obj: dict) -> GenerationRecord:
-    """Inverse of ``asdict(record)``; raises TypeError or ValueError on a
-    record that ``ReplayBackend`` could not have written."""
+    """Inverse of ``asdict(record)``; raises TypeError, ValueError or
+    OverflowError on a record that ``ReplayBackend`` could not have written."""
     req, outputs = obj["request"], obj["outputs"]
     max_tokens, n_samples, temperature = req["max_tokens"], req["n_samples"], req["temperature"]
     stop_sequences = req.get("stop_sequences", [])
+    prompt, tag, backend_id = req["prompt"], req.get("tag", ""), obj.get("backend_id", "unknown")
+    timestamp, latency = obj.get("timestamp", 0.0), obj.get("latency", 0.0)
     if type(max_tokens) is not int or type(n_samples) is not int:
         raise TypeError("'max_tokens' and 'n_samples' must be integers")
     if type(temperature) not in (int, float):  # GenerationRequest refuses NaN, infinities and negatives
         raise TypeError("'temperature' must be a number")
+    for name, number in (("timestamp", timestamp), ("latency", latency)):
+        if type(number) not in (int, float) or not math.isfinite(number):
+            raise TypeError(f"'{name}' must be a finite number")
+    if not all(isinstance(v, str) for v in (prompt, tag, backend_id)):
+        raise TypeError("'prompt', 'tag' and 'backend_id' must be strings")
     for name, strings in (("stop_sequences", stop_sequences), ("outputs", outputs)):
         if not isinstance(strings, list) or not all(isinstance(v, str) for v in strings):
             raise TypeError(f"'{name}' must be a list of strings")
     request = GenerationRequest(
-        prompt=req["prompt"],
+        prompt=prompt,
         temperature=float(temperature),
         max_tokens=max_tokens,
         n_samples=n_samples,
         stop_sequences=tuple(stop_sequences),
-        tag=req.get("tag", ""),
+        tag=tag,
     )
     return GenerationRecord(
         request=request,
         outputs=tuple(outputs),
-        backend_id=obj.get("backend_id", "unknown"),
-        timestamp=float(obj.get("timestamp", 0.0)),
-        latency=float(obj.get("latency", 0.0)),
+        backend_id=backend_id,
+        timestamp=float(timestamp),
+        latency=float(latency),
     )
 
 
@@ -409,7 +420,9 @@ def generate_all(
 
     Returns, per group and in the order given, each request's record or the
     ``BackendError`` it raised. A mock backend's script is positional, so its
-    requests go out one at a time, in order.
+    requests go out one at a time, in order. A read-only replay store only
+    looks each request up in memory, so it is answered in line too: a thread
+    pool would only add hand-offs. A recording store and ``http:`` use the pool.
     """
     if in_flight < 1:
         raise ValueError("in_flight must be >= 1")
@@ -421,7 +434,8 @@ def generate_all(
             return exc
 
     requests = [request for group in groups for request in group]
-    if in_flight == 1 or len(requests) <= 1 or isinstance(backend, MockBackend):
+    in_line = isinstance(backend, MockBackend) or (isinstance(backend, ReplayBackend) and backend._inner is None)
+    if in_flight == 1 or len(requests) <= 1 or in_line:
         results = iter([send(request) for request in requests])
     else:
         with ThreadPoolExecutor(max_workers=min(in_flight, len(requests))) as pool:

@@ -399,6 +399,10 @@ def extract_argument_map(raw: str) -> ParseOutcome:
     return ParseOutcome(ArgumentMap(tuple(entries.items())), warnings.as_tuple())
 
 
+# The encoder json.dumps(..., ensure_ascii=False) would build on every call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def serialize_argument_map(amap: ArgumentMap, order: str = "given") -> str:
     """Render a map as ``{"k1": "v1", "k2": "v2"}``.
 
@@ -409,4 +413,4 @@ def serialize_argument_map(amap: ArgumentMap, order: str = "given") -> str:
     if order not in ("given", "sorted"):
         raise ValueError(f"order must be 'given' or 'sorted', got {order!r}")
     entries = amap.entries if order == "given" else sorted(amap.entries)
-    return json.dumps(dict(entries), ensure_ascii=False)
+    return _ENCODER.encode(dict(entries))

@@ -3,10 +3,15 @@
 Every record is immutable and its constructor trusts its fields: each record
 kind is checked and canonicalized once, where it enters the program, so
 downstream comparisons (key alignment, value matching) never have to worry
-about casing or whitespace again. The entry points are
-``load_schema_catalog`` for API schemas and their slots, ``dialogue_from_obj``
-for dialogues and their turns (``load_dialogues`` reads a dataset through
-it), and ``ArgumentMap.from_dict`` for argument maps from JSON objects (gold
+about casing or whitespace again. A canonical value is the text lowercased,
+its leading and trailing whitespace dropped and each inner run of whitespace
+made one space; a canonical key is the same, but each inner run of whitespace
+and hyphens becomes one ``_``. Whitespace is what ``str.isspace`` says it is.
+
+The entry points are ``load_schema_catalog`` for API schemas and their
+slots, ``dialogue_from_obj`` for dialogues and their turns
+(``load_dialogues`` reads a dataset through it), and
+``ArgumentMap.from_dict`` for argument maps from JSON objects (gold
 arguments and prediction rows); ``extract_argument_map`` and
 ``multistep_map`` build maps from model output and slot replies. Given a
 catalog, ``load_dialogues`` also checks each dialogue against it, once: its
@@ -60,7 +65,6 @@ _KIND_ALIASES = {
 }
 
 _KEY_SEPARATORS = re.compile(r"[\s\-]+")
-_VALUE_SPACES = re.compile(r"\s+")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
@@ -70,8 +74,14 @@ def has_surrogate(text: str) -> bool:
 
 
 def canonicalize_key(raw: str) -> str:
-    """Lowercase, trim, and join whitespace/hyphen runs with '_'. Idempotent."""
-    out = _KEY_SEPARATORS.sub("_", raw.strip().lower())
+    """Lowercase, trim, and join whitespace/hyphen runs with '_'. Idempotent.
+
+    Lowercasing never makes or removes whitespace or a hyphen, so text
+    without a hyphen is split on whitespace alone."""
+    if "-" in raw:
+        out = _KEY_SEPARATORS.sub("_", raw.strip().lower())
+    else:
+        out = "_".join(raw.lower().split())
     if not out:
         raise InvalidKey(f"key {raw!r} is empty after canonicalization")
     return out
@@ -79,7 +89,7 @@ def canonicalize_key(raw: str) -> str:
 
 def canonicalize_value(raw: str) -> str:
     """Lowercase, trim, and collapse internal whitespace runs to one space."""
-    return _VALUE_SPACES.sub(" ", raw.strip()).lower()
+    return " ".join(raw.split()).lower()
 
 
 def normalize_kind(raw: str) -> str:
@@ -158,17 +168,21 @@ class SlotSpec:
 
 @dataclass(frozen=True)
 class ApiSchema:
-    """The pre-defined contract of one API: name, description, ordered slots."""
+    """The pre-defined contract of one API: name, description, ordered slots.
+
+    ``by_name`` indexes the slots by name; it is built with the schema and
+    must not be changed."""
 
     api_name: str
     description: str = ""
     slots: tuple[SlotSpec, ...] = ()
+    by_name: dict[str, SlotSpec] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_name", {s.name: s for s in self.slots})
 
     def slot(self, name: str) -> SlotSpec | None:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        return None
+        return self.by_name.get(name)
 
     def slot_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
@@ -436,7 +450,6 @@ def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[
     """Load a JSONL dialogue dataset. Given a catalog, a target_api outside it
     raises DatasetInvalid, and a gold key that is not a slot of the target
     schema raises GoldSchemaMismatch; callers with that catalog rely on both."""
-    slots = {name: frozenset(schema.slot_names()) for name, schema in (catalog or {}).items()}
     dialogues: list[Dialogue] = []
     seen_ids: set[str] = set()
     for where, obj in read_jsonl(source, "dataset"):
@@ -449,10 +462,11 @@ def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[
         seen_ids.add(dialogue.id)
         if catalog is not None:
             api, where = dialogue.target_api, f"{where}: dialogue '{dialogue.id}'"
-            if api not in slots:
+            schema = catalog.get(api)
+            if schema is None:
                 raise DatasetInvalid(f"{where}: target_api '{api}' not in catalog")
             for key, _ in dialogue.gold_arguments:
-                if key not in slots[api]:
+                if key not in schema.by_name:
                     raise GoldSchemaMismatch(f"{where}: gold key '{key}' not in schema '{api}'")
         dialogues.append(dialogue)
     return dialogues

@@ -97,17 +97,17 @@ def classify_errors(pred: ArgumentMap, gold: ArgumentMap, schema: ApiSchema) -> 
     Every gold key must be a slot of ``schema``, as it is for dialogues from
     ``load_dialogues(…, catalog)``; it is not checked here.
     """
-    slot_names = set(schema.slot_names())
+    slots = schema.by_name
     n_nk = n_mk = n_sv = n_hv = 0
     verdicts: list[tuple[str, str]] = []
     gold_values = gold.as_dict()
 
     for key, value in pred:
-        if key not in slot_names:
+        slot = slots.get(key)
+        if slot is None:
             n_nk += 1
             verdicts.append((key, VERDICT_NK))
             continue
-        slot = schema.slot(key)
         if key in gold_values and values_match(value, gold_values[key]):
             verdicts.append((key, VERDICT_CORRECT))
         elif value_conforms_to_slot(slot, value):

@@ -5,7 +5,9 @@ different style from the main code (full-matrix edit distance, its own
 conformance regexes, per-sentence BLEU accumulation), so agreement is
 meaningful. The parser oracle is the exception: it is the previous
 implementation, kept unchanged but for the surrogate rule to cross-check its
-rewrite and the strict-JSON fast path.
+rewrite and the strict-JSON fast path. So are the canonicalizers: they are
+the regex forms that ``schema.canonicalize_key`` and ``canonicalize_value``
+replaced, and the parser oracle uses them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,26 @@ from arground.parsing import (
     ParseOutcome,
     _Warnings,
 )
-from arground.schema import ArgumentMap, canonicalize_key, canonicalize_value
+from arground.schema import ArgumentMap
+
+
+# --- canonicalization -----------------------------------------------------------
+
+_REF_KEY_SEPARATORS = re.compile(r"[\s\-]+")
+_REF_VALUE_SPACES = re.compile(r"\s+")
+
+
+def ref_canonicalize_key(raw: str) -> str:
+    """Lowercase, trim, and join whitespace/hyphen runs with '_'. Idempotent."""
+    out = _REF_KEY_SEPARATORS.sub("_", raw.strip().lower())
+    if not out:
+        raise InvalidKey(f"key {raw!r} is empty after canonicalization")
+    return out
+
+
+def ref_canonicalize_value(raw: str) -> str:
+    """Lowercase, trim, and collapse internal whitespace runs to one space."""
+    return _REF_VALUE_SPACES.sub(" ", raw.strip()).lower()
 
 
 # --- edit distance / fuzzy match ---------------------------------------------
@@ -417,11 +438,11 @@ def ref_extract_argument_map(raw: str) -> ParseOutcome:
             warnings.add(WARN_NULL_VALUE)
             continue
         try:
-            key = canonicalize_key(raw_key)
+            key = ref_canonicalize_key(raw_key)
         except InvalidKey:
             warnings.add(WARN_EMPTY_KEY)
             continue
-        value = canonicalize_value(raw_value)
+        value = ref_canonicalize_value(raw_value)
         if not value:
             warnings.add(WARN_EMPTY_VALUE)
             continue

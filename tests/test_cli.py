@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -19,7 +20,7 @@ from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_erro
 from arground.generation import GenerationBackend, GenerationRecord, MockBackend
 from arground.metrics import evaluate_corpus
 from arground.prompting import default_request, template_hashes
-from arground.schema import ArgumentMap, dialogue_from_obj, dialogue_to_obj, load_dialogues
+from arground.schema import ArgumentMap, dialogue_from_obj, dialogue_to_obj, load_dialogues, load_schema_catalog
 from arground.scoring import classify_errors
 
 from conftest import HAIR_CATALOG_JSON, jsonl, make_dialogue
@@ -812,3 +813,81 @@ def test_fill_multistep_keeps_at_most_in_flight_requests_outstanding(tmp_path, h
     ]
     assert backend.peak == 2
     assert backend.shared
+
+
+# --- reject-sample output bytes, pinned ---------------------------------------
+
+_PINNED_CATALOG = """[
+  {"api_name": "Book Table", "description": "Reserve a table at a restaurant.",
+   "slots": [
+     {"name": "Party Size", "kind": "integer", "description": "number of guests"},
+     {"name": "time", "kind": "time", "description": "arrival time"},
+     {"name": "area", "kind": "categorical", "description": "part of town",
+      "allowed_values": ["Centre", "North"]},
+     {"name": "name", "kind": "free-text", "description": "booking name"}
+   ]}
+]
+"""
+
+# Dataset lines end in CRLF.
+_PINNED_DIALOGUES = [
+    {"id": "t1", "domain": "Dining", "target_api": "book table",
+     "turns": [{"speaker": "user", "utterance": "A table for 4 at 7pm, please."},
+               {"speaker": "agent", "utterance": "Under which name?"},
+               {"speaker": "user", "utterance": "Ann  Lee."}],
+     "gold_arguments": {"Party Size": 4, "time": "7pm", "name": "Ann Lee"}},
+    {"id": "t2", "domain": "Dining", "target_api": "Book-Table",
+     "turns": [{"speaker": "user", "utterance": "Somewhere central at 19:30 for Zoë."}],
+     "gold_arguments": {"area": "Centre", "time": "19:30", "name": "Zoë"}},
+    {"id": "t3", "domain": "Dining", "target_api": "book_table",
+     "turns": [{"speaker": "user", "utterance": "Book it for Bo, up north."}],
+     "gold_arguments": {"name": "Bo", "area": "north"}},
+]
+
+# Four candidates per dialogue, covering every repair the parser makes.
+_PINNED_OUTPUTS = {
+    "t1": [
+        '{"party_size": "4", "time": "7pm", "name": "Ann Lee"}',  # clean JSON
+        'Sure! Here they are: {"party_size": 4, "time": "7 pm"} Hope that helps.',  # prose, a number
+        '```json\n{"Party Size": "4", "time": "7PM", "name": "ann lee"}\n```',  # a fence; a duplicate
+        "{'party-size': '4', 'name': 'Ann  Lee', 'time': '7pm',}",  # single quotes, hyphen, trailing comma
+    ],
+    "t2": [
+        "{party_size: 2, area: North, time: 19:30}",  # bare words
+        '{\r\n  "area": "Centre",\r\n  "time": "19:30",\r\n  "name": "Zo\\u00eb"\r\n}',  # CRLF, a \u escape
+        "I cannot help with that.",  # no object
+        '{"area": {"nested": 1}}',  # a nested value
+    ],
+    "t3": [
+        '{"name": "bo", "area": "Nörth", "extra": "x"}',  # a key outside the schema, a near miss
+        '{"NAME": "Bo", "area": null, "": "x"}',  # a null value, an empty key
+        '{"name": "", "area": "north", "name": "BO"}',  # an empty value, a duplicate key
+        '{"time": "25pm", "party_size": "many"}',  # rejected
+    ],
+}
+
+# The bytes written by regex canonicalization and a json.dumps per row; any
+# change to either is a change in the program's output.
+_PINNED_SHA256 = {
+    "out.jsonl": "87f2afa95c17ac7bba1b93c911230b5ec7eec894d7a3afd29d11ff31672b4fbf",
+    "out.jsonl.stats.json": "2e62fdec420b977e0d01358599e8b0ebea341e392500405192256dedbc2930cf",
+}
+
+
+@pytest.mark.parametrize("in_flight", ["1", "4"])
+def test_reject_sample_output_bytes_are_pinned(in_flight, tmp_path):
+    (tmp_path / "catalog.json").write_text(_PINNED_CATALOG, encoding="utf-8")
+    (tmp_path / "dialogues.jsonl").write_bytes(
+        b"".join(json.dumps(d).encode() + b"\r\n" for d in _PINNED_DIALOGUES))
+    catalog = load_schema_catalog(tmp_path / "catalog.json")
+    records = [
+        asdict(GenerationRecord(default_request(catalog[d.target_api], d, 4, 0.8, 256), outputs, "logged"))
+        for d, outputs in zip(load_dialogues(tmp_path / "dialogues.jsonl", catalog), _PINNED_OUTPUTS.values())
+    ]
+    _write_jsonl(tmp_path / "log.jsonl", records)
+    argv = ["reject-sample", "--dialogues", str(tmp_path / "dialogues.jsonl"),
+            "--schemas", str(tmp_path / "catalog.json"), "--backend", f"replay:{tmp_path / 'log.jsonl'}",
+            "--k", "4", "--in-flight", in_flight, "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _PINNED_SHA256}
+    assert digests == _PINNED_SHA256

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 import arground
 from arground import generation, prompting, sampler
 from arground.cli import EXIT_BACKEND, EXIT_OK, EXIT_USAGE, main
-from arground.errors import AuthError, BackendError
+from arground.errors import AuthError, BackendError, ReplayMiss
 from arground.generation import (
     GenerationBackend,
     GenerationRecord,
@@ -454,6 +455,39 @@ def test_mock_backend_is_sent_one_request_at_a_time():
     results = generate_all(backend, [_tagged(f"r{i}", f"s{i}") for i in range(4)], in_flight=4)
     assert [r.outputs[0] for group in results for r in group] == [f"out {i}" for i in range(8)]
     assert backend.counter.peak == 1
+
+
+def test_a_read_only_replay_store_is_answered_without_a_thread_pool(tmp_path, monkeypatch):
+    groups = [_tagged("a0", "a1"), [], _tagged("c0", "c1", "c2")]
+    log = tmp_path / "log.jsonl"
+    log.write_text(jsonl(asdict(GenerationRecord(r, (f"out {r.tag}",), "logged")) for group in groups for r in group),
+                   encoding="utf-8")
+    store = open_replay(log)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a replay store should be answered in line")
+
+    monkeypatch.setattr(generation, "ThreadPoolExecutor", no_pool)
+    results = generate_all(store, [*groups, _tagged("missing")], in_flight=4)
+    assert [[r.outputs[0] for r in group] for group in results[:3]] == [
+        ["out a0", "out a1"], [], ["out c0", "out c1", "out c2"]
+    ]
+    assert isinstance(results[3][0], ReplayMiss)
+
+
+def test_a_recording_store_goes_through_the_thread_pool(tmp_path, monkeypatch):
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(generation, "ThreadPoolExecutor", counting_pool)
+    inner = _Counting()
+    store = open_replay(tmp_path / "log.jsonl", inner)
+    results = generate_all(store, [_tagged("a", "b", ms=30), _tagged("c", ms=30)], in_flight=4)
+    assert [r.outputs for group in results for r in group] == [("a",), ("b",), ("c",)]
+    assert pools == [3] and inner.peak == 3
 
 
 def test_mock_rejection_sample_is_deterministic_at_the_default_in_flight(hair_catalog):

@@ -1,8 +1,10 @@
 import io
 import json
+import string
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arground.errors import (
@@ -26,6 +28,7 @@ from arground.schema import (
 )
 
 from conftest import jsonl
+from oracle import ref_canonicalize_key, ref_canonicalize_value
 
 CATALOG_JSON = json.dumps(
     [
@@ -84,6 +87,41 @@ class TestCanonicalizeValue:
     def test_idempotent(self, raw):
         once = canonicalize_value(raw)
         assert canonicalize_value(once) == once
+
+
+# Every whitespace code point, the key separators, ASCII letters, and two
+# letters whose lowercase differs in kind: "İ" lowers to two code points,
+# "ẞ" to "ß".
+_CANON_ALPHABET = "".join(
+    [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    + ["-", "_", string.ascii_letters, "İ", "ẞ"]
+)
+
+
+def _key_or_invalid(canonicalize, raw):
+    try:
+        return canonicalize(raw)
+    except InvalidKey:
+        return InvalidKey
+
+
+_CANON_EXAMPLES = ("", "\x85", "-", " - ", "-a", "a-", "a - b", "\u3000A\u2028B\x1c", "İ x")
+
+
+def _with_examples(test):
+    for raw in _CANON_EXAMPLES:
+        test = example(raw)(test)
+    return settings(derandomize=True, max_examples=2000)(given(st.text(alphabet=_CANON_ALPHABET, max_size=24))(test))
+
+
+class TestCanonicalizeAgainstRegexForms:
+    @_with_examples
+    def test_key_matches_the_regex_form(self, raw):
+        assert _key_or_invalid(canonicalize_key, raw) == _key_or_invalid(ref_canonicalize_key, raw)
+
+    @_with_examples
+    def test_value_matches_the_regex_form(self, raw):
+        assert canonicalize_value(raw) == ref_canonicalize_value(raw)
 
 
 class TestConformance:
@@ -191,6 +229,8 @@ class TestCatalog:
         assert schema.slot_names() == ("name", "time", "stylist")
         assert schema.slot("stylist").allowed_values == ("jess", "jack")
         assert all(s.required for s in schema.slots)
+        assert schema.by_name == {s.name: s for s in schema.slots}
+        assert schema.slot("Name") is None
 
     def test_duplicate_api(self):
         doc = json.dumps(

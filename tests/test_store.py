@@ -84,9 +84,9 @@ def test_a_different_stop_misses(tmp_path):
         replay.generate(_request(stop=("\n",)))
 
 
-def _log_entry(outputs, **request_fields):
+def _log_entry(outputs, record_fields=(), **request_fields):
     request = {"prompt": "p", "temperature": 0.0, "max_tokens": 256, "n_samples": 1, **request_fields}
-    return json.dumps({"request": request, "outputs": outputs, "backend_id": "elsewhere"}) + "\n"
+    return json.dumps({"request": request, "outputs": outputs, "backend_id": "elsewhere", **dict(record_fields)}) + "\n"
 
 
 def test_log_without_stop_field_keys_like_empty_stop(tmp_path):
@@ -118,10 +118,21 @@ def test_outputs_that_are_not_strings_are_log_corrupt(outputs, tmp_path):
         _log_entry(["x"], temperature=10**400),
         _log_entry(["x"], stop_sequences="\n"),
         _log_entry(["x"], stop_sequences=[1]),
+        _log_entry(["x"], prompt=["p"]),
+        _log_entry(["x"], tag=5),
+        _log_entry(["x"], {"backend_id": 7}),
+        _log_entry(["x"], {"timestamp": "1.5"}),
+        _log_entry(["x"], {"timestamp": True}),
+        _log_entry(["x"], {"timestamp": 10**400}),
+        _log_entry(["x"], {"latency": "nan"}),
+        _log_entry(["x"], {"latency": float("nan")}),
+        _log_entry(["x"], {"latency": float("inf")}),
     ],
     ids=["deep-nesting", "max-tokens-infinity", "n-samples-infinity", "max-tokens-fraction", "n-samples-bool",
          "temperature-string", "temperature-bool", "temperature-nan", "temperature-negative",
-         "temperature-past-float", "stop-string", "stop-number"],
+         "temperature-past-float", "stop-string", "stop-number", "prompt-list", "tag-number",
+         "backend-id-number", "timestamp-string", "timestamp-bool", "timestamp-past-float", "latency-string",
+         "latency-nan", "latency-infinity"],
 )
 def test_a_line_replay_could_not_have_written_is_log_corrupt_at_its_offset(line, tmp_path):
     log = tmp_path / "log.jsonl"
