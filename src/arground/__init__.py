@@ -12,10 +12,10 @@ _EXPORTS = {
     "prompting": ("build_default_prompt", "build_slot_prompt"),
     "schema": (
         "ApiSchema",
-        "ArgumentMap",
         "Dialogue",
         "DialogueTurn",
         "SlotSpec",
+        "argument_map_from_obj",
         "canonicalize_key",
         "canonicalize_value",
         "load_dialogues",

@@ -45,7 +45,7 @@ from .metrics import emit_error_panel, evaluate_corpus, metrics_report_csv
 from .parsing import extract_argument_map
 from .prompting import default_request, multistep_map, slot_requests, template_hashes
 from .sampler import SamplerConfig, export_sft_dataset, rejection_sample
-from .schema import ArgumentMap, dialogue_to_obj, load_dialogues, load_schema_catalog, read_json, read_jsonl
+from .schema import argument_map_from_obj, dialogue_to_obj, load_dialogues, load_schema_catalog, read_json, read_jsonl
 from .scoring import classify_errors
 from .splits import build_split_manifest, split_in_domain, split_out_of_domain
 
@@ -172,13 +172,13 @@ def _cmd_fill(args) -> dict[str, str]:
                 outcome = extract_argument_map(records[0].outputs[0])
                 arguments, warnings = outcome.map, list(outcome.warnings)
             except (NoArgumentObject, MalformedArguments) as exc:
-                arguments, warnings = ArgumentMap(), [f"unparseable output: {type(exc).__name__}"]
+                arguments, warnings = {}, [f"unparseable output: {type(exc).__name__}"]
         rows.append({
             "id": dialogue.id,
             "target_api": dialogue.target_api,
             "mode": args.mode,
             "model": backend.backend_id,
-            "arguments": arguments.as_dict(),
+            "arguments": arguments,
             "warnings": warnings,
         })
     return {args.out: _dump_jsonl(rows)}
@@ -207,7 +207,7 @@ def _cmd_evaluate(args) -> dict[str, str]:
         if row is None:
             raise AlignmentError(f"no prediction for dialogue '{dialogue.id}'")
         try:
-            pred_map = ArgumentMap.from_dict(row["arguments"])
+            pred_map = argument_map_from_obj(row["arguments"])
         except InvalidArgumentMap as exc:
             raise InvalidArgumentMap(f"prediction '{dialogue.id}': arguments: {exc}") from exc
         breakdown = classify_errors(pred_map, dialogue.gold_arguments, catalog[dialogue.target_api])

@@ -17,7 +17,7 @@ class InvalidKey(ArgroundError):
 
 
 class InvalidArgumentMap(ArgroundError):
-    """Outside data does not form an argument map (see ArgumentMap.from_dict)."""
+    """Outside data does not form an argument map (see schema.argument_map_from_obj)."""
 
 
 class ParseError(ArgroundError):
@@ -74,14 +74,6 @@ class InvalidBreakdown(ArgroundError):
 
 
 # --- prompting -------------------------------------------------------------
-
-class ApiMismatch(ArgroundError):
-    """Dialogue target_api does not name the given schema."""
-
-
-class UnknownSlot(ArgroundError):
-    """Slot does not belong to the schema it was used with."""
-
 
 class EmptySlotResponse(ArgroundError):
     """A slot-prompt reply contained no usable line."""

@@ -17,12 +17,12 @@ Three backends share one ``generate(request) -> GenerationRecord`` surface:
 ``replay:<log>`` serves the log read-only; a miss raises ``ReplayMiss``, so
 any pipeline run on replay is a pure function of its inputs.
 ``record:<log>`` puts the store in front of the live backend: only records
-whose ``backend_id`` is that backend's are served, a missing log is an
-empty store, and a miss calls the backend and appends the record under a
-lock. Concurrent misses on one key all get the record stored first, so a
-record run returns exactly what a later replay of its log returns, and
-rerunning a crashed ``fill`` or ``reject-sample`` on its log resumes it
-without repeating a call.
+whose ``backend_id`` is that backend's are served, a missing log is created
+empty (a log that cannot be written fails before any request), and a miss
+calls the backend and appends the record under a lock. Concurrent misses on
+one key all get the record stored first, so a record run returns exactly
+what a later replay of its log returns, and rerunning a crashed ``fill`` or
+``reject-sample`` on its log resumes it without repeating a call.
 
 Requests are keyed by a hash of every request field but the tag, not by
 sequence number, so replay tolerates request reordering under concurrency.
@@ -392,12 +392,14 @@ class ReplayBackend(GenerationBackend):
 def open_replay(path, inner: GenerationBackend | None = None) -> ReplayBackend:
     """Index a record log by request content hash; first record wins per key.
 
-    With ``inner``, a missing log is an empty store and only records made by
-    ``inner.backend_id`` are indexed.
+    With ``inner``, only records made by ``inner.backend_id`` are indexed,
+    and the log is first opened for append (a missing one is created empty),
+    so a log that cannot be written raises ``OSError`` before any request.
     """
     index: dict[str, tuple[str, ...]] = {}
-    if inner is not None and not os.path.exists(path):
-        return ReplayBackend(index, inner, path)
+    if inner is not None:
+        with open(path, "a", encoding="utf-8"):
+            pass
     offset = 0
     with open(path, "rb") as handle:
         for raw_line in handle:
@@ -462,5 +464,5 @@ def backend_from_spec(spec: str) -> GenerationBackend:
         try:
             return open_replay(arg, inner)
         except OSError as exc:
-            raise BackendError(f"cannot read {kind} log {arg!r}: {exc}")
+            raise BackendError(f"cannot open {kind} log {arg!r}: {exc}")
     raise ValueError(f"unknown backend kind {kind!r} (expected http|mock|replay|record)")

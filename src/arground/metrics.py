@@ -77,14 +77,13 @@ def error_rates(breakdowns: Sequence[ErrorBreakdown]) -> tuple[float, float, flo
 
 def _char_stats(pred: ArgumentMap, gold: ArgumentMap) -> tuple[int, int, int]:
     """(multiset overlap on aligned values, total pred chars, total gold chars)."""
-    gold_values = gold.as_dict()
     overlap = 0
-    for key, value in pred:
-        if key in gold_values:
-            inter = Counter(value) & Counter(gold_values[key])
+    for key, value in pred.items():
+        if key in gold:
+            inter = Counter(value) & Counter(gold[key])
             overlap += sum(inter.values())
-    pred_chars = sum(len(v) for _, v in pred)
-    gold_chars = sum(len(v) for _, v in gold)
+    pred_chars = sum(map(len, pred.values()))
+    gold_chars = sum(map(len, gold.values()))
     return overlap, pred_chars, gold_chars
 
 
@@ -192,7 +191,9 @@ def emit_error_panel(rows: Iterable[tuple[str, dict]], group_by: str) -> str:
     """CSV with one row per group: group,nk_rate,mk_rate,sv_rate,hv_rate,n_samples.
 
     ``rows`` holds ``(where, row)`` pairs as ``schema.read_jsonl`` yields them;
-    a row without a valid breakdown raises, naming ``where`` and the row's id.
+    a row without a valid breakdown, or whose ``group_by`` field is present but
+    not a string, raises, naming ``where`` and the row's id. A row without that
+    field is grouped as ``unknown``.
     """
     if group_by not in ("model", "split"):
         raise ValueError(f"group_by must be 'model' or 'split', got {group_by!r}")
@@ -206,7 +207,10 @@ def emit_error_panel(rows: Iterable[tuple[str, dict]], group_by: str) -> str:
             breakdown = ErrorBreakdown.from_obj(row["breakdown"])
         except InvalidBreakdown as exc:
             raise InvalidBreakdown(f"{where}: {exc}") from exc
-        groups.setdefault(str(row.get(group_by, "unknown")), []).append(breakdown)
+        label = row.get(group_by, "unknown")
+        if not isinstance(label, str):
+            raise ArgroundError(f"{where}: '{group_by}' must be a string, got {label!r}")
+        groups.setdefault(label, []).append(breakdown)
     if not groups:
         raise EmptyCorpus("no breakdowns to report")
     return _csv_text(

@@ -379,7 +379,7 @@ def extract_argument_map(raw: str) -> ParseOutcome:
     elif bare:
         warnings.add(WARN_BARE_WORD)
 
-    entries: dict[str, str] = {}
+    entries: ArgumentMap = {}
     for raw_key, raw_value in raw_pairs:
         if raw_value is None:
             warnings.add(WARN_NULL_VALUE)
@@ -396,7 +396,7 @@ def extract_argument_map(raw: str) -> ParseOutcome:
         if key in entries:
             warnings.add(WARN_DUPLICATE_KEY)
         entries[key] = value
-    return ParseOutcome(ArgumentMap(tuple(entries.items())), warnings.as_tuple())
+    return ParseOutcome(entries, warnings.as_tuple())
 
 
 # The encoder json.dumps(..., ensure_ascii=False) would build on every call.
@@ -412,5 +412,4 @@ def serialize_argument_map(amap: ArgumentMap, order: str = "given") -> str:
     """
     if order not in ("given", "sorted"):
         raise ValueError(f"order must be 'given' or 'sorted', got {order!r}")
-    entries = amap.entries if order == "given" else sorted(amap.entries)
-    return _ENCODER.encode(dict(entries))
+    return _ENCODER.encode(amap if order == "given" else dict(sorted(amap.items())))

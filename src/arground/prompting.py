@@ -20,7 +20,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import ApiMismatch, BackendError, EmptySlotResponse, UnknownSlot
+from .errors import BackendError, EmptySlotResponse
 from .generation import GenerationRecord, GenerationRequest
 from .schema import ApiSchema, ArgumentMap, Dialogue, SlotSpec, canonicalize_value, has_surrogate
 
@@ -102,16 +102,8 @@ def slot_hint_block(slot: SlotSpec) -> str:
     return "\n".join(lines)
 
 
-def _check_target(schema: ApiSchema, dialogue: Dialogue) -> None:
-    if dialogue.target_api != schema.api_name:
-        raise ApiMismatch(
-            f"dialogue '{dialogue.id}' targets '{dialogue.target_api}', "
-            f"not '{schema.api_name}'"
-        )
-
-
 def build_default_prompt(schema: ApiSchema, dialogue: Dialogue) -> Prompt:
-    _check_target(schema, dialogue)
+    """The default prompt; ``schema`` is ``catalog[dialogue.target_api]``."""
     return Prompt(render_template(
         load_template("default.txt"),
         {
@@ -123,9 +115,7 @@ def build_default_prompt(schema: ApiSchema, dialogue: Dialogue) -> Prompt:
 
 
 def build_slot_prompt(schema: ApiSchema, dialogue: Dialogue, slot: SlotSpec) -> Prompt:
-    _check_target(schema, dialogue)
-    if schema.slot(slot.name) != slot:
-        raise UnknownSlot(f"slot '{slot.name}' is not part of schema '{schema.api_name}'")
+    """The prompt for one slot of ``schema``, which is ``catalog[dialogue.target_api]``."""
     return Prompt(render_template(
         load_template("slot.txt"),
         {
@@ -200,7 +190,7 @@ def multistep_map(
     surrogate, is treated as absent; the first failed request raises,
     naming its slot.
     """
-    entries: list[tuple[str, str]] = []
+    arguments: ArgumentMap = {}
     for slot, record in zip(schema.slots, records):
         if isinstance(record, BackendError):
             raise BackendError(
@@ -218,5 +208,5 @@ def multistep_map(
             )
             continue
         if value is not None:
-            entries.append((slot.name, value))
-    return ArgumentMap(tuple(entries))
+            arguments[slot.name] = value
+    return arguments

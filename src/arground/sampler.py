@@ -17,7 +17,7 @@ from .errors import BackendError, MalformedArguments, NoArgumentObject
 from .generation import GenerationBackend, generate_all
 from .parsing import extract_argument_map, serialize_argument_map
 from .prompting import build_default_prompt, default_request
-from .schema import ApiSchema, ArgumentMap, Dialogue
+from .schema import ApiSchema, Dialogue
 from .scoring import classify_errors
 
 logger = logging.getLogger(__name__)
@@ -59,8 +59,8 @@ class SamplerConfig:
 def gold_training_example(dialogue: Dialogue, schema: ApiSchema, prompt: str) -> TrainingExample:
     """The gold example for ``prompt``, the dialogue's default prompt: its
     completion is the gold map in schema order."""
-    gold = dialogue.gold_arguments.as_dict()
-    ordered = ArgumentMap(tuple((s.name, gold[s.name]) for s in schema.slots if s.name in gold))
+    gold = dialogue.gold_arguments
+    ordered = {s.name: gold[s.name] for s in schema.slots if s.name in gold}
     return TrainingExample(
         prompt=prompt,
         completion=serialize_argument_map(ordered, "given"),
@@ -127,7 +127,7 @@ def rejection_sample(
             if breakdown.reward <= 0.0:
                 stats.rejected += 1
                 continue
-            dedup_key = tuple(sorted(candidate.entries))
+            dedup_key = tuple(sorted(candidate.items()))
             if dedup_key in seen:
                 stats.deduplicated += 1
                 continue

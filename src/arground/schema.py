@@ -1,6 +1,7 @@
 """API schema, dialogue, and argument-map data model.
 
-Every record is immutable and its constructor trusts its fields: each record
+Every record is immutable and its constructor trusts its fields. An argument
+map is a plain ``dict`` that no code changes once it is built. Each record
 kind is checked and canonicalized once, where it enters the program, so
 downstream comparisons (key alignment, value matching) never have to worry
 about casing or whitespace again. A canonical value is the text lowercased,
@@ -11,7 +12,7 @@ and hyphens becomes one ``_``. Whitespace is what ``str.isspace`` says it is.
 The entry points are ``load_schema_catalog`` for API schemas and their
 slots, ``dialogue_from_obj`` for dialogues and their turns
 (``load_dialogues`` reads a dataset through it), and
-``ArgumentMap.from_dict`` for argument maps from JSON objects (gold
+``argument_map_from_obj`` for argument maps from JSON objects (gold
 arguments and prediction rows); ``extract_argument_map`` and
 ``multistep_map`` build maps from model output and slot replies. Given a
 catalog, ``load_dialogues`` also checks each dialogue against it, once: its
@@ -181,73 +182,41 @@ class ApiSchema:
     def __post_init__(self):
         object.__setattr__(self, "by_name", {s.name: s for s in self.slots})
 
-    def slot(self, name: str) -> SlotSpec | None:
-        return self.by_name.get(name)
-
     def slot_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
 
 
-@dataclass(frozen=True)
-class ArgumentMap:
-    """Ordered key->value pairs; keys unique and canonical, values non-empty.
+# An argument map: canonical keys to non-empty canonical values, in entry
+# order. Absence of information is key absence, never an empty value. A map
+# is never changed once built; build one from outside data with
+# ``argument_map_from_obj``.
+ArgumentMap = dict[str, str]
 
-    Absence of information is modeled as key absence, never as an empty
-    value. The constructor trusts its entries; build a map from outside data
-    with :meth:`from_dict`.
+
+def argument_map_from_obj(mapping) -> ArgumentMap:
+    """Canonicalize a JSON object of non-null scalar values, in order.
+
+    Raises InvalidArgumentMap when ``mapping`` is not an object, or holds
+    a null, list or object value, a blank key, an empty value, or two
+    keys that canonicalize alike.
     """
-
-    entries: tuple[tuple[str, str], ...] = ()
-
-    @classmethod
-    def from_dict(cls, mapping) -> "ArgumentMap":
-        """Canonicalize a JSON object of non-null scalar values, in order.
-
-        Raises InvalidArgumentMap when ``mapping`` is not an object, or holds
-        a null, list or object value, a blank key, an empty value, or two
-        keys that canonicalize alike.
-        """
-        if not isinstance(mapping, dict):
-            raise InvalidArgumentMap(f"expected a JSON object, got {type(mapping).__name__}")
-        entries: dict[str, str] = {}
-        for raw_key, raw_value in mapping.items():
-            if raw_value is None or isinstance(raw_value, (dict, list)):
-                raise InvalidArgumentMap(f"value of key {raw_key!r} must be a string, number or boolean")
-            try:
-                key = canonicalize_key(str(raw_key))
-            except InvalidKey as exc:
-                raise InvalidArgumentMap(str(exc)) from exc
-            value = canonicalize_value(str(raw_value))
-            if not value:
-                raise InvalidArgumentMap(f"empty value for key '{key}'")
-            if key in entries:
-                raise InvalidArgumentMap(f"duplicate key '{key}'")
-            entries[key] = value
-        return cls(tuple(entries.items()))
-
-    def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.entries)
-
-    def get(self, key: str, default=None):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return default
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.entries)
-
-    def items(self) -> tuple[tuple[str, str], ...]:
-        return self.entries
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: str) -> bool:
-        return any(k == key for k, _ in self.entries)
+    if not isinstance(mapping, dict):
+        raise InvalidArgumentMap(f"expected a JSON object, got {type(mapping).__name__}")
+    entries: ArgumentMap = {}
+    for raw_key, raw_value in mapping.items():
+        if raw_value is None or isinstance(raw_value, (dict, list)):
+            raise InvalidArgumentMap(f"value of key {raw_key!r} must be a string, number or boolean")
+        try:
+            key = canonicalize_key(str(raw_key))
+        except InvalidKey as exc:
+            raise InvalidArgumentMap(str(exc)) from exc
+        value = canonicalize_value(str(raw_value))
+        if not value:
+            raise InvalidArgumentMap(f"empty value for key '{key}'")
+        if key in entries:
+            raise InvalidArgumentMap(f"duplicate key '{key}'")
+        entries[key] = value
+    return entries
 
 
 @dataclass(frozen=True)
@@ -262,7 +231,7 @@ class Dialogue:
     domain: str
     target_api: str
     turns: tuple[DialogueTurn, ...]
-    gold_arguments: ArgumentMap = field(default_factory=ArgumentMap)
+    gold_arguments: ArgumentMap = field(default_factory=dict)
 
 
 # --- input files: one JSON reader, one JSONL reader --------------------------
@@ -394,7 +363,7 @@ def dialogue_to_obj(dialogue: Dialogue) -> dict:
         "domain": dialogue.domain,
         "target_api": dialogue.target_api,
         "turns": [{"speaker": t.speaker, "utterance": t.utterance} for t in dialogue.turns],
-        "gold_arguments": dialogue.gold_arguments.as_dict(),
+        "gold_arguments": dialogue.gold_arguments,
     }
 
 
@@ -426,7 +395,7 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
         ident, domain, target_api = obj["id"], obj["domain"], obj["target_api"]
         if not all(isinstance(v, str) for v in (ident, domain, target_api)):
             raise DatasetInvalid(f"dialogue {ident!r}: id, domain and target_api must be strings")
-        gold = ArgumentMap.from_dict(obj.get("gold_arguments", {}))
+        gold = argument_map_from_obj(obj.get("gold_arguments", {}))
     except KeyError as exc:
         raise DatasetInvalid(f"dialogue record missing field {exc}") from exc
     except InvalidArgumentMap as exc:
@@ -465,7 +434,7 @@ def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[
             schema = catalog.get(api)
             if schema is None:
                 raise DatasetInvalid(f"{where}: target_api '{api}' not in catalog")
-            for key, _ in dialogue.gold_arguments:
+            for key in dialogue.gold_arguments:
                 if key not in schema.by_name:
                     raise GoldSchemaMismatch(f"{where}: gold key '{key}' not in schema '{api}'")
         dialogues.append(dialogue)

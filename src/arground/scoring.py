@@ -100,15 +100,14 @@ def classify_errors(pred: ArgumentMap, gold: ArgumentMap, schema: ApiSchema) -> 
     slots = schema.by_name
     n_nk = n_mk = n_sv = n_hv = 0
     verdicts: list[tuple[str, str]] = []
-    gold_values = gold.as_dict()
 
-    for key, value in pred:
+    for key, value in pred.items():
         slot = slots.get(key)
         if slot is None:
             n_nk += 1
             verdicts.append((key, VERDICT_NK))
             continue
-        if key in gold_values and values_match(value, gold_values[key]):
+        if key in gold and values_match(value, gold[key]):
             verdicts.append((key, VERDICT_CORRECT))
         elif value_conforms_to_slot(slot, value):
             n_sv += 1
@@ -117,9 +116,8 @@ def classify_errors(pred: ArgumentMap, gold: ArgumentMap, schema: ApiSchema) -> 
             n_hv += 1
             verdicts.append((key, VERDICT_HV))
 
-    pred_keys = set(pred.keys())
-    for key, _ in gold:
-        if key not in pred_keys:
+    for key in gold:
+        if key not in pred:
             n_mk += 1
             verdicts.append((key, VERDICT_MK))
 

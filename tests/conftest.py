@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from arground.schema import ArgumentMap, Dialogue, DialogueTurn, load_schema_catalog
+from arground.schema import Dialogue, DialogueTurn, argument_map_from_obj, load_schema_catalog
 
 # The catalog of the hair_catalog fixture, as written to a --schemas file.
 HAIR_CATALOG_JSON = """[
@@ -43,7 +43,7 @@ def hair_dialogue():
             DialogueTurn("user", "3pm please, the name is John."),
             DialogueTurn("agent", "Got it."),
         ),
-        gold_arguments=ArgumentMap.from_dict({"name": "John", "time": "3pm"}),
+        gold_arguments=argument_map_from_obj({"name": "John", "time": "3pm"}),
     )
 
 
@@ -57,7 +57,7 @@ def make_dialogue(ident, domain, api, gold, n_turns=2):
         domain=domain,
         target_api=api,
         turns=tuple(turns),
-        gold_arguments=ArgumentMap.from_dict(gold),
+        gold_arguments=argument_map_from_obj(gold),
     )
 
 

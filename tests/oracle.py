@@ -449,7 +449,7 @@ def ref_extract_argument_map(raw: str) -> ParseOutcome:
         if key in entries:
             warnings.add(WARN_DUPLICATE_KEY)
         entries[key] = value
-    return ParseOutcome(ArgumentMap(tuple(entries.items())), warnings.as_tuple())
+    return ParseOutcome(entries, warnings.as_tuple())
 
 
 def ref_serialize(amap: ArgumentMap, order: str = "given") -> str:
@@ -461,7 +461,7 @@ def ref_serialize(amap: ArgumentMap, order: str = "given") -> str:
     """
     if order not in ("given", "sorted"):
         raise ValueError(f"order must be 'given' or 'sorted', got {order!r}")
-    entries = amap.entries if order == "given" else tuple(sorted(amap.entries))
+    entries = amap.items() if order == "given" else sorted(amap.items())
     body = ", ".join(
         f"{json.dumps(k, ensure_ascii=False)}: {json.dumps(v, ensure_ascii=False)}"
         for k, v in entries

@@ -20,7 +20,13 @@ from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_erro
 from arground.generation import GenerationBackend, GenerationRecord, MockBackend
 from arground.metrics import evaluate_corpus
 from arground.prompting import default_request, template_hashes
-from arground.schema import ArgumentMap, dialogue_from_obj, dialogue_to_obj, load_dialogues, load_schema_catalog
+from arground.schema import (
+    argument_map_from_obj,
+    dialogue_from_obj,
+    dialogue_to_obj,
+    load_dialogues,
+    load_schema_catalog,
+)
 from arground.scoring import classify_errors
 
 from conftest import HAIR_CATALOG_JSON, jsonl, make_dialogue
@@ -126,6 +132,37 @@ def test_report_refuses_a_breakdown_evaluate_could_not_write_naming_its_row(brea
     assert not (tmp_path / "panel.csv").exists()
 
 
+_ERROR_FREE_BREAKDOWN = {"n_nk": 0, "n_mk": 0, "n_sv": 0, "n_hv": 0, "n_total": 2, "reward": 1.0}
+
+
+@pytest.mark.parametrize(
+    "group_by, value",
+    [("model", ["m1"]), ("model", None), ("model", {"x": 1}), ("split", 5)],
+    ids=["model-list", "model-null", "model-object", "split-number"],
+)
+def test_report_refuses_a_group_value_evaluate_could_not_write(group_by, value, tmp_path, capsys):
+    breakdown = _ERROR_FREE_BREAKDOWN
+    _write_jsonl(tmp_path / "scored.jsonl", [{"id": "d0", group_by: "a", "breakdown": breakdown},
+                                             {"id": "d1", group_by: value, "breakdown": breakdown}])
+    argv = ["report", "--breakdowns", str(tmp_path / "scored.jsonl"), "--group-by", group_by,
+            "--out", str(tmp_path / "panel.csv")]
+    assert main(argv) == EXIT_DATA
+    assert f"data error: breakdowns line 2 (id 'd1'): '{group_by}' must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "panel.csv").exists()
+
+
+@pytest.mark.parametrize("group_by", ["model", "split"])
+def test_report_groups_a_row_without_the_field_as_unknown(group_by, tmp_path):
+    breakdown = _ERROR_FREE_BREAKDOWN
+    _write_jsonl(tmp_path / "scored.jsonl", [{"id": "d0", group_by: "a", "breakdown": breakdown},
+                                             {"id": "d1", "breakdown": breakdown}])
+    argv = ["report", "--breakdowns", str(tmp_path / "scored.jsonl"), "--group-by", group_by,
+            "--out", str(tmp_path / "panel.csv")]
+    assert main(argv) == EXIT_OK
+    panel = csv.DictReader(io.StringIO((tmp_path / "panel.csv").read_text(encoding="utf-8")))
+    assert [row["group"] for row in panel] == ["a", "unknown"]
+
+
 def test_report_on_evaluate_scored_output_is_unchanged(tmp_path):
     """A panel over every verdict kind, pinned byte for byte."""
     (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
@@ -157,11 +194,11 @@ def test_report_on_evaluate_scored_output_is_unchanged(tmp_path):
 
 
 def test_single_group_panel_matches_evaluate_corpus(hair_schema):
-    gold = ArgumentMap.from_dict({"name": "john", "time": "3pm", "stylist": "jess"})
+    gold = argument_map_from_obj({"name": "john", "time": "3pm", "stylist": "jess"})
     preds = [
-        ArgumentMap.from_dict({"name": "john", "time": "3pm", "stylist": "jess"}),
-        ArgumentMap.from_dict({"name": "jon", "colour": "red"}),
-        ArgumentMap.from_dict({"time": "purple", "stylist": "jack"}),
+        argument_map_from_obj({"name": "john", "time": "3pm", "stylist": "jess"}),
+        argument_map_from_obj({"name": "jon", "colour": "red"}),
+        argument_map_from_obj({"time": "purple", "stylist": "jack"}),
     ]
     pairs = [(pred, gold) for pred in preds]
     breakdowns = [classify_errors(pred, gold, hair_schema) for pred, gold in pairs]
@@ -222,7 +259,7 @@ def _fixture_files(d, hair_catalog):
     _write_jsonl(d / "pred.jsonl", [{"id": f"d{i}", "model": "m", "arguments": {"name": f"persn {i}"}}
                                     for i in range(6)])
     gold, schema = dialogues[0].gold_arguments, hair_catalog["hair_appointment"]
-    breakdowns = [classify_errors(ArgumentMap.from_dict(a), gold, schema)
+    breakdowns = [classify_errors(argument_map_from_obj(a), gold, schema)
                   for a in ({"name": "person 0"}, {"stylist": "bob"})]
     _write_jsonl(d / "scored.jsonl", [{"split": s, "breakdown": b.to_obj()} for s, b in zip("ab", breakdowns)])
     (d / "synonyms.json").write_text('{"barber": "salon-annex"}', encoding="utf-8")
@@ -577,7 +614,7 @@ def test_a_mock_script_reply_holding_a_unicode_line_separator_is_one_line(separa
 
 def test_numeric_and_boolean_gold_values_become_strings():
     record = {**_GOOD_RECORD, "gold_arguments": {"name": 3, "time": 2.5, "stylist": True}}
-    assert dialogue_from_obj(record).gold_arguments.as_dict() == {"name": "3", "time": "2.5", "stylist": "true"}
+    assert dialogue_from_obj(record).gold_arguments == {"name": "3", "time": "2.5", "stylist": "true"}
 
 
 def test_well_formed_dialogue_record_exports(tmp_path, hair_catalog):
@@ -743,7 +780,7 @@ def _replay_log_without(d, hair_catalog, missing):
     for dialogue in load_dialogues(d / "dialogues.jsonl", hair_catalog):
         if dialogue.id == missing:
             continue
-        answer = json.dumps(dialogue.gold_arguments.as_dict())
+        answer = json.dumps(dialogue.gold_arguments)
         for request in (default_request(schema, dialogue, 2, 0.8, 256), default_request(schema, dialogue, 1, 0.0, 256)):
             records.append(asdict(GenerationRecord(request, [answer] * request.n_samples, "logged")))
     _write_jsonl(d / "log.jsonl", records)
@@ -873,21 +910,72 @@ _PINNED_SHA256 = {
     "out.jsonl.stats.json": "2e62fdec420b977e0d01358599e8b0ebea341e392500405192256dedbc2930cf",
 }
 
+# The output `fill` gets per dialogue from the log (an index into _PINNED_OUTPUTS).
+_PINNED_FILL_OUTPUT = {"t1": 1, "t2": 0, "t3": 0}
 
-@pytest.mark.parametrize("in_flight", ["1", "4"])
-def test_reject_sample_output_bytes_are_pinned(in_flight, tmp_path):
+# One slot reply per slot of each dialogue, in schema order, for `fill --mode multistep`.
+_PINNED_SLOT_REPLIES = ["4", "7 PM", "NONE", "'Ann Lee'",
+                        "", "19:30", "centre", "Zo\u00eb\nextra line",
+                        "NONE", "NONE", "North", '"Bo"']
+
+
+def _pinned_inputs(tmp_path) -> list[str]:
+    """Write the catalog, the dataset (CRLF lines) and a replay log holding the
+    reject-sample and the default-mode fill requests; return the common flags."""
     (tmp_path / "catalog.json").write_text(_PINNED_CATALOG, encoding="utf-8")
     (tmp_path / "dialogues.jsonl").write_bytes(
         b"".join(json.dumps(d).encode() + b"\r\n" for d in _PINNED_DIALOGUES))
     catalog = load_schema_catalog(tmp_path / "catalog.json")
-    records = [
-        asdict(GenerationRecord(default_request(catalog[d.target_api], d, 4, 0.8, 256), outputs, "logged"))
-        for d, outputs in zip(load_dialogues(tmp_path / "dialogues.jsonl", catalog), _PINNED_OUTPUTS.values())
-    ]
+    records = []
+    for d, outputs in zip(load_dialogues(tmp_path / "dialogues.jsonl", catalog), _PINNED_OUTPUTS.values()):
+        schema = catalog[d.target_api]
+        records.append(asdict(GenerationRecord(default_request(schema, d, 4, 0.8, 256), outputs, "logged")))
+        fill_output = (outputs[_PINNED_FILL_OUTPUT[d.id]],)
+        records.append(asdict(GenerationRecord(default_request(schema, d, 1, 0.0, 256), fill_output, "logged")))
     _write_jsonl(tmp_path / "log.jsonl", records)
-    argv = ["reject-sample", "--dialogues", str(tmp_path / "dialogues.jsonl"),
-            "--schemas", str(tmp_path / "catalog.json"), "--backend", f"replay:{tmp_path / 'log.jsonl'}",
+    return ["--dialogues", str(tmp_path / "dialogues.jsonl"), "--schemas", str(tmp_path / "catalog.json")]
+
+
+@pytest.mark.parametrize("in_flight", ["1", "4"])
+def test_reject_sample_output_bytes_are_pinned(in_flight, tmp_path):
+    argv = ["reject-sample", *_pinned_inputs(tmp_path), "--backend", f"replay:{tmp_path / 'log.jsonl'}",
             "--k", "4", "--in-flight", in_flight, "--out", str(tmp_path / "out.jsonl")]
     assert main(argv) == EXIT_OK
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _PINNED_SHA256}
     assert digests == _PINNED_SHA256
+
+
+# The artifacts of every other command that writes an argument map, over the same inputs.
+_PINNED_MAP_SHA256 = {
+    "sft.jsonl": "637cf1d243c66d4b9428f810bd71ccb6eb6ad9d1095f2680c08cda2e8988943b",
+    "fill.jsonl": "f072fa995d5de33ee823b5c26fd99efcf556811e2738a357247b871a8652fa69",
+    "multistep.jsonl": "9d55aa1b1ed72acf3326307801c11cb6673fb461bde5e961b8f832f9c5ffe649",
+    "metrics.csv": "0b9c69301d2d0c6b3f4e5095c974f922d33507a462627cfb6e7864b2700f0b89",
+    "scored.jsonl": "3c4ffa679b50a0d6e6c178335ad820a130559600f92c775afde1b5c61eb72e00",
+    "panel.csv": "3299afea6f83eed701c65fb380d0885b8f21a9f1fbc8a651cab91c67bc67aaf9",
+    "train.jsonl": "058aa2f8d16a4d16f565c12f184896d8e95e8655e802422ad321b11240481030",
+    "test.jsonl": "7a78fbc76f16db8685725be85fb85926b6155d07131cadec3c8760c423cde186",
+    "split_manifest.json": "971c75060c1b7e10abd3e1f8eac60bd755258f4c856147d5cd1f565adef72807",
+}
+
+
+def test_map_writing_command_bytes_are_pinned(tmp_path):
+    common = _pinned_inputs(tmp_path)
+    (tmp_path / "slots.script").write_text(jsonl(_PINNED_SLOT_REPLIES), encoding="utf-8")
+    d = tmp_path
+    runs = [
+        ["export-sft", *common, "--out", str(d / "sft.jsonl")],
+        ["fill", *common, "--backend", f"replay:{d / 'log.jsonl'}", "--out", str(d / "fill.jsonl")],
+        ["fill", "--mode", "multistep", *common, "--backend", f"mock:{d / 'slots.script'}",
+         "--out", str(d / "multistep.jsonl")],
+        ["evaluate", "--pred", str(d / "fill.jsonl"), "--gold", str(d / "dialogues.jsonl"),
+         "--schemas", str(d / "catalog.json"), "--dataset", "pinned", "--split", "test",
+         "--out", str(d / "metrics.csv"), "--scored-out", str(d / "scored.jsonl")],
+        ["report", "--breakdowns", str(d / "scored.jsonl"), "--group-by", "model", "--out", str(d / "panel.csv")],
+        ["split", "in-domain", *common, "--fraction", "0.34", "--seed", "3",
+         "--out-train", str(d / "train.jsonl"), "--out-test", str(d / "test.jsonl")],
+    ]
+    for argv in runs:
+        assert main(argv) == EXIT_OK, argv[0]
+    digests = {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in _PINNED_MAP_SHA256}
+    assert digests == _PINNED_MAP_SHA256

@@ -16,14 +16,14 @@ from arground.metrics import (
     strict_match_rate,
 )
 from arground.parsing import serialize_argument_map
-from arground.schema import ApiSchema, ArgumentMap, SlotSpec
+from arground.schema import ApiSchema, SlotSpec
 from arground.scoring import classify_errors
 
 from oracle import ref_corpus_bleu, ref_fuzzy_match_rate, ref_strict_match_rate
 
 
 def amap(*pairs):
-    return ArgumentMap(tuple(pairs))
+    return dict(pairs)
 
 
 GOLD2 = amap(("name", "john"), ("time", "3pm"))
@@ -114,7 +114,7 @@ class TestCorpusBleu:
         for _ in range(25):
             def rand_map():
                 chosen = rng.sample(keys, rng.randint(0, len(keys)))
-                return ArgumentMap(tuple((k, rng.choice(vocab)) for k in sorted(chosen)))
+                return {k: rng.choice(vocab) for k in sorted(chosen)}
 
             pairs.append((rand_map(), rand_map()))
         hyps = [serialize_argument_map(p, "sorted").split() for p, _ in pairs]
@@ -207,11 +207,11 @@ class TestEvaluateCorpus:
 def test_key_reordering_invariance(rng):
     entries = [("name", "john"), ("time", "3pm"), ("x", "deep dish")]
     rng.shuffle(entries)
-    pred = ArgumentMap(tuple(entries))
+    pred = dict(entries)
     rng.shuffle(entries)
-    gold = ArgumentMap(tuple(entries))
+    gold = dict(entries)
     pairs_a = [(pred, gold)]
-    pairs_b = [(ArgumentMap(tuple(sorted(pred.entries))), ArgumentMap(tuple(sorted(gold.entries))))]
+    pairs_b = [(dict(sorted(pred.items())), dict(sorted(gold.items())))]
     assert fuzzy_match_rate(breakdowns_for(pairs_a)) == fuzzy_match_rate(breakdowns_for(pairs_b))
     assert corpus_char_f1(pairs_a) == corpus_char_f1(pairs_b)
 
@@ -230,15 +230,13 @@ _VALUES = ["john", "jon", "johnny", "3pm", "4pm", "deep dish pizza", "deep dish 
 
 
 def _maps(keys):
-    return st.dictionaries(st.sampled_from(keys), st.sampled_from(_VALUES), max_size=len(keys)).map(
-        lambda d: ArgumentMap(tuple(d.items()))
-    )
+    return st.dictionaries(st.sampled_from(keys), st.sampled_from(_VALUES), max_size=len(keys))
 
 
 @given(st.lists(st.tuples(_maps(["name", "time", "x", "zz"]), _maps(["name", "time", "x"])), min_size=1, max_size=6))
 @settings(max_examples=150)
 def test_fm_agrees_with_oracle(pairs):
     report = evaluate_corpus(pairs, breakdowns_for(pairs))
-    samples = [(list(pred.entries), list(gold.entries)) for pred, gold in pairs]
+    samples = [(list(pred.items()), list(gold.items())) for pred, gold in pairs]
     assert report.fm == pytest.approx(ref_fuzzy_match_rate(samples), abs=1e-9)
     assert report.fm_strict == pytest.approx(ref_strict_match_rate(samples), abs=1e-9)

@@ -19,7 +19,7 @@ from arground.parsing import (
     extract_argument_map,
     serialize_argument_map,
 )
-from arground.schema import ArgumentMap, canonicalize_key, canonicalize_value, has_surrogate
+from arground.schema import argument_map_from_obj, canonicalize_key, canonicalize_value, has_surrogate
 from oracle import ref_extract_argument_map, ref_first_balanced_region, ref_serialize
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "malformed_outputs"
@@ -27,13 +27,13 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures" / "malformed_outputs"
 
 def test_clean_input():
     outcome = extract_argument_map('{"name": "John", "time": "3pm"}')
-    assert outcome.map.entries == (("name", "john"), ("time", "3pm"))
+    assert list(outcome.map.items()) == [("name", "john"), ("time", "3pm")]
     assert outcome.warnings == ()
 
 
 def test_prose_quotes_and_trailing_comma():
     outcome = extract_argument_map("Sure! Here you go: {'name': 'John',}")
-    assert outcome.map.entries == (("name", "john"),)
+    assert list(outcome.map.items()) == [("name", "john")]
     assert WARN_SINGLE_QUOTES in outcome.warnings
     assert WARN_TRAILING_COMMA in outcome.warnings
 
@@ -56,43 +56,43 @@ def test_array_value_rejected():
 
 def test_literals_stringified():
     outcome = extract_argument_map('{"guests": 3, "confirmed": true}')
-    assert outcome.map.as_dict() == {"guests": "3", "confirmed": "true"}
+    assert outcome.map == {"guests": "3", "confirmed": "true"}
     assert WARN_BARE_WORD in outcome.warnings
 
 
 def test_null_dropped():
     outcome = extract_argument_map('{"a": "x", "b": null, "c": None}')
-    assert outcome.map.as_dict() == {"a": "x"}
+    assert outcome.map == {"a": "x"}
     assert WARN_NULL_VALUE in outcome.warnings
 
 
 def test_duplicate_key_last_wins():
     outcome = extract_argument_map('{"name": "John", "NAME": "Jess"}')
-    assert outcome.map.as_dict() == {"name": "jess"}
+    assert outcome.map == {"name": "jess"}
     assert WARN_DUPLICATE_KEY in outcome.warnings
 
 
 def test_empty_value_dropped_with_warning():
     outcome = extract_argument_map('{"a": "x", "b": ""}')
-    assert outcome.map.as_dict() == {"a": "x"}
+    assert outcome.map == {"a": "x"}
     assert WARN_EMPTY_VALUE in outcome.warnings
 
 
 def test_code_fence_stripped():
     outcome = extract_argument_map('```json\n{"a": "b"}\n```')
-    assert outcome.map.as_dict() == {"a": "b"}
+    assert outcome.map == {"a": "b"}
     assert WARN_CODE_FENCE in outcome.warnings
 
 
 def test_code_fence_inside_quoted_value_kept():
     outcome = extract_argument_map('{"note": "use ```python here"}')
-    assert outcome.map.as_dict() == {"note": "use ```python here"}
+    assert outcome.map == {"note": "use ```python here"}
     assert outcome.warnings == ()
 
 
 def test_first_region_wins():
     outcome = extract_argument_map('{"a": "1"} then {"b": "2"}')
-    assert outcome.map.as_dict() == {"a": "1"}
+    assert outcome.map == {"a": "1"}
 
 
 def test_empty_object_is_valid():
@@ -107,19 +107,19 @@ def test_warnings_listed_once():
 
 class TestSerialize:
     def test_single_entry(self):
-        assert serialize_argument_map(ArgumentMap((("name", "john"),))) == '{"name": "john"}'
+        assert serialize_argument_map({"name": "john"}) == '{"name": "john"}'
 
     def test_empty(self):
-        assert serialize_argument_map(ArgumentMap()) == "{}"
+        assert serialize_argument_map({}) == "{}"
 
     def test_sorted(self):
-        amap = ArgumentMap((("time", "3pm"), ("name", "john")))
+        amap = {"time": "3pm", "name": "john"}
         assert serialize_argument_map(amap, "sorted") == '{"name": "john", "time": "3pm"}'
         assert serialize_argument_map(amap, "given") == '{"time": "3pm", "name": "john"}'
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            serialize_argument_map(ArgumentMap(), "shuffled")
+            serialize_argument_map({}, "shuffled")
 
 
 def test_fixture_corpus():
@@ -152,17 +152,15 @@ def _canonical_values():
 
 
 def argument_maps():
-    return st.dictionaries(_canonical_keys(), _canonical_values(), max_size=5).map(
-        lambda d: ArgumentMap(tuple(d.items()))
-    )
+    return st.dictionaries(_canonical_keys(), _canonical_values(), max_size=5)
 
 
 @given(argument_maps())
-@example(ArgumentMap((("note", "x ``` y"),)))
+@example({"note": "x ``` y"})
 @settings(max_examples=200)
 def test_round_trip(amap):
     outcome = extract_argument_map(serialize_argument_map(amap, "given"))
-    assert outcome.map == amap
+    assert list(outcome.map.items()) == list(amap.items())
 
 
 @given(st.text(max_size=300))
@@ -171,8 +169,8 @@ def test_extract_never_crashes(raw):
     try:
         first = extract_argument_map(raw)
         second = extract_argument_map(raw)
-        assert first == second  # deterministic
-        assert ArgumentMap.from_dict(first.map.as_dict()) == first.map  # canonical
+        assert (list(first.map.items()), first.warnings) == (list(second.map.items()), second.warnings)  # deterministic
+        assert list(argument_map_from_obj(first.map).items()) == list(first.map.items())  # canonical
     except (NoArgumentObject, MalformedArguments):
         pass
 
@@ -193,12 +191,14 @@ _PARSER_ALPHABET = list("{}'\" a:,\\xu0") + ["\n", "\t", "\x1c", "\xa0"]
 
 
 def _outcome(extract, raw):
-    """Everything a caller can observe: map and warnings, or error class and span."""
+    """Everything a caller can observe: map entries in order and warnings, or
+    error class and span. A dict compares equal whatever its order, so the
+    entries are compared as a list."""
     try:
         outcome = extract(raw)
     except (NoArgumentObject, MalformedArguments) as exc:
         return type(exc).__name__, getattr(exc, "span", None)
-    return outcome.map, outcome.warnings
+    return list(outcome.map.items()), outcome.warnings
 
 
 @given(st.text(alphabet=_PARSER_ALPHABET, max_size=64))
@@ -234,8 +234,8 @@ def test_region_and_outcome_agree_with_oracle_on_tokens(tokens):
     assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw)
     outcome = _outcome(extract_argument_map, raw)
     assert outcome == _outcome(ref_extract_argument_map, raw)
-    if isinstance(outcome[0], ArgumentMap):
-        assert ArgumentMap.from_dict(outcome[0].as_dict()) == outcome[0]  # canonical
+    if isinstance(outcome[0], list):
+        assert list(argument_map_from_obj(dict(outcome[0])).items()) == outcome[0]  # canonical
 
 
 def test_fixture_corpus_agrees_with_oracle():
@@ -248,7 +248,7 @@ def test_fixture_corpus_agrees_with_oracle():
 
 
 @given(argument_maps())
-@example(ArgumentMap.from_dict({"note": 'say "hi"\\ \u00e9 \U0001f600 \x07', "a": "b"}))
+@example(argument_map_from_obj({"note": 'say "hi"\\ \u00e9 \U0001f600 \x07', "a": "b"}))
 @settings(max_examples=200)
 def test_serialize_agrees_with_oracle(amap):
     for order in ("given", "sorted"):
@@ -330,7 +330,7 @@ def test_fast_path_agrees_with_oracle(drawn):
     assert outcome == _outcome(ref_extract_argument_map, raw)
     assert (parsing._strict_object(raw, raw.find("{")) is not None) == fast
     if fast:
-        assert isinstance(outcome[0], ArgumentMap)
+        assert isinstance(outcome[0], list)
 
 
 def test_clean_json_takes_the_fast_path_and_relaxed_text_does_not(monkeypatch):
@@ -339,7 +339,7 @@ def test_clean_json_takes_the_fast_path_and_relaxed_text_does_not(monkeypatch):
 
     monkeypatch.setattr(parsing, "_parse_object_body", no_relaxed_parse)
     outcome = extract_argument_map('```json\n{"name": "John", "guests": 3, "outdoor": false, "note": null}\n```')
-    assert outcome.map.as_dict() == {"name": "john", "guests": "3", "outdoor": "false"}
+    assert outcome.map == {"name": "john", "guests": "3", "outdoor": "false"}
     assert outcome.warnings == (WARN_CODE_FENCE, WARN_BARE_WORD, WARN_NULL_VALUE)
     with pytest.raises(AssertionError, match="relaxed parser reached"):
         extract_argument_map("{'a': 'b'}")
@@ -351,7 +351,7 @@ def test_clean_json_takes_the_fast_path_and_relaxed_text_does_not(monkeypatch):
                                  '{"name": "john \\uD83D\\uDE00"}', '{"name": "john \U0001f600"}'],
                          ids=["escaped", "single-quoted", "upper-case-hex", "literal"])
 def test_a_surrogate_pair_escape_is_one_code_point(raw):
-    assert extract_argument_map(raw).map.as_dict() == {"name": "john \U0001f600"}
+    assert extract_argument_map(raw).map == {"name": "john \U0001f600"}
 
 
 @pytest.mark.parametrize("raw", ['{"name": "john \\ud83d"}', "{'name': 'john \\ude00\\ud83d'}",

@@ -17,8 +17,8 @@ from arground.errors import (
     SchemaInvalid,
 )
 from arground.schema import (
-    ArgumentMap,
     SlotSpec,
+    argument_map_from_obj,
     canonicalize_key,
     canonicalize_value,
     dialogue_to_obj,
@@ -227,10 +227,10 @@ class TestCatalog:
         assert set(catalog) == {"hair_appointment"}
         schema = catalog["hair_appointment"]
         assert schema.slot_names() == ("name", "time", "stylist")
-        assert schema.slot("stylist").allowed_values == ("jess", "jack")
+        assert schema.by_name["stylist"].allowed_values == ("jess", "jack")
         assert all(s.required for s in schema.slots)
         assert schema.by_name == {s.name: s for s in schema.slots}
-        assert schema.slot("Name") is None
+        assert "Name" not in schema.by_name
 
     def test_duplicate_api(self):
         doc = json.dumps(
@@ -265,29 +265,27 @@ class TestCatalog:
 
 
 class TestArgumentMap:
-    def test_from_dict_canonicalizes(self):
-        amap = ArgumentMap.from_dict({"Name": "John", "Appointment Time": "3 PM", "party-size": 2, "vip": True})
-        assert amap.entries == (("name", "john"), ("appointment_time", "3 pm"), ("party_size", "2"), ("vip", "true"))
-        assert ArgumentMap.from_dict(amap.as_dict()) == amap
+    def test_from_obj_canonicalizes(self):
+        amap = argument_map_from_obj({"Name": "John", "Appointment Time": "3 PM", "party-size": 2, "vip": True})
+        assert list(amap.items()) == [
+            ("name", "john"), ("appointment_time", "3 pm"), ("party_size", "2"), ("vip", "true")]
+        assert list(argument_map_from_obj(amap).items()) == list(amap.items())
 
     def test_duplicate_after_canonicalization(self):
         with pytest.raises(InvalidArgumentMap):
-            ArgumentMap.from_dict({"Name": "a", "name": "b"})
+            argument_map_from_obj({"Name": "a", "name": "b"})
 
     def test_empty_value_rejected(self):
         with pytest.raises(InvalidArgumentMap):
-            ArgumentMap.from_dict({"name": "  "})
+            argument_map_from_obj({"name": "  "})
 
     @pytest.mark.parametrize("mapping", [["name"], {"name": None}, {"name": ["a"]}, {"name": {"a": 1}}, {"  ": "a"}])
     def test_non_object_non_scalar_or_blank_key_rejected(self, mapping):
         with pytest.raises(InvalidArgumentMap):
-            ArgumentMap.from_dict(mapping)
+            argument_map_from_obj(mapping)
 
     def test_order_preserved(self):
-        amap = ArgumentMap.from_dict({"b": "2", "a": "1"})
-        assert amap.keys() == ("b", "a")
-        assert amap.get("a") == "1"
-        assert "b" in amap and "c" not in amap
+        assert list(argument_map_from_obj({"b": "2", "a": "1"}).items()) == [("b", "2"), ("a", "1")]
 
 
 class TestDialogues:
@@ -295,6 +293,7 @@ class TestDialogues:
         text = jsonl([dialogue_to_obj(hair_dialogue)])
         loaded = load_dialogues(io.StringIO(text), hair_catalog)
         assert loaded == [hair_dialogue]
+        assert list(loaded[0].gold_arguments.items()) == list(hair_dialogue.gold_arguments.items())
 
     def test_unknown_target_api(self, hair_catalog):
         line = json.dumps(
@@ -316,7 +315,7 @@ class TestDialogues:
                                                      r"schema 'hair_appointment'$"):
             load_dialogues(io.StringIO(text), hair_catalog)
         # without a catalog there is no schema to check against
-        assert load_dialogues(io.StringIO(text))[1].gold_arguments.keys() == ("name", "colour")
+        assert list(load_dialogues(io.StringIO(text))[1].gold_arguments) == ["name", "colour"]
 
     def test_duplicate_id(self, hair_catalog, hair_dialogue):
         text = jsonl([dialogue_to_obj(hair_dialogue)] * 2)

@@ -5,14 +5,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arground.fuzzy import levenshtein, values_match
-from arground.schema import ApiSchema, ArgumentMap, SlotSpec
+from arground.schema import ApiSchema, SlotSpec
 from arground.scoring import ErrorBreakdown, classify_errors, reward_value
 
 from oracle import edit_distance, ref_breakdown, ref_values_match
 
 
 def amap(*pairs):
-    return ArgumentMap(tuple(pairs))
+    return dict(pairs)
 
 
 GOLD = amap(("name", "john"), ("time", "3pm"))
@@ -218,7 +218,7 @@ KEYS = ("a", "b", "c", "zz")
 def pred_maps():
     return st.lists(
         st.tuples(st.sampled_from(KEYS), st.sampled_from(VALUES)), max_size=4, unique_by=lambda t: t[0]
-    ).map(lambda pairs: ArgumentMap(tuple(pairs)))
+    ).map(dict)
 
 
 def gold_maps():
@@ -226,7 +226,7 @@ def gold_maps():
         st.tuples(st.sampled_from(("a", "b", "c")), st.sampled_from(VALUES)),
         max_size=3,
         unique_by=lambda t: t[0],
-    ).map(lambda pairs: ArgumentMap(tuple(pairs)))
+    ).map(dict)
 
 
 @given(pred_maps(), gold_maps())
@@ -243,7 +243,7 @@ def test_summation_invariant_and_range(pred, gold):
 @settings(max_examples=200)
 def test_adding_nk_never_increases_reward(pred, gold):
     b_before = classify_errors(pred, gold, SCHEMA)
-    extended = ArgumentMap(pred.entries + (("not_a_slot", "x"),))
+    extended = {**pred, "not_a_slot": "x"}
     b_after = classify_errors(extended, gold, SCHEMA)
     assert b_after.reward <= b_before.reward
     assert b_after.n_nk == b_before.n_nk + 1
@@ -252,9 +252,9 @@ def test_adding_nk_never_increases_reward(pred, gold):
 @given(pred_maps(), gold_maps(), st.randoms())
 @settings(max_examples=200)
 def test_permutation_invariance(pred, gold, rng):
-    entries = list(pred.entries)
+    entries = list(pred.items())
     rng.shuffle(entries)
-    shuffled = ArgumentMap(tuple(entries))
+    shuffled = dict(entries)
     b1 = classify_errors(pred, gold, SCHEMA)
     b2 = classify_errors(shuffled, gold, SCHEMA)
     assert (b1.n_nk, b1.n_mk, b1.n_sv, b1.n_hv, b1.reward) == (
@@ -274,12 +274,12 @@ def test_exhaustive_small_instance_oracle_equivalence():
     options = [None, *VALUES]
     checked = 0
     for gold_pairs in golds:
-        gold = ArgumentMap(gold_pairs)
+        gold = dict(gold_pairs)
         for assignment in itertools.product(options, repeat=len(KEYS)):
             pairs = tuple(
                 (key, value) for key, value in zip(KEYS, assignment) if value is not None
             )
-            pred = ArgumentMap(pairs)
+            pred = dict(pairs)
             mine = classify_errors(pred, gold, SCHEMA)
             ref = ref_breakdown(list(pairs), list(gold_pairs), slot_triples)
             assert (mine.n_nk, mine.n_mk, mine.n_sv, mine.n_hv, mine.n_total) == (

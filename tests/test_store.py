@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from arground.cli import EXIT_OK, main
+from arground.cli import EXIT_BACKEND, EXIT_OK, main
 from arground.errors import BackendError, LogCorrupt, ReplayMiss
 from arground.generation import GenerationRequest, MockBackend, open_replay
 from arground.sampler import SamplerConfig, rejection_sample
@@ -44,7 +44,7 @@ class _Gated(MockBackend):
 def test_record_then_replay_serves_the_recorded_outputs(tmp_path):
     log = tmp_path / "log.jsonl"
     store = open_replay(log, MockBackend(OUTPUTS))
-    assert not log.exists()
+    assert log.read_bytes() == b""  # created empty when the store opens
     recorded = [store.generate(_request(f"p{i}")).outputs for i in range(3)]
     assert store.backend_id == "mock"
 
@@ -260,6 +260,20 @@ def test_cli_record_then_replay_gives_the_same_rows(stub, tmp_path):
 
     assert fill(f"record:{log}", "rerun.jsonl") == recorded
     assert stub.requests == 3
+
+
+def test_an_unwritable_record_log_fails_before_any_request(stub, tmp_path, capsys):
+    (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
+    (tmp_path / "dialogues.jsonl").write_text(jsonl(map(dialogue_to_obj, _dialogues())), encoding="utf-8")
+    log = tmp_path / "no such dir" / "log.jsonl"
+    with pytest.raises(FileNotFoundError):
+        open_replay(log, MockBackend(OUTPUTS))
+    argv = ["fill", "--dialogues", str(tmp_path / "dialogues.jsonl"), "--schemas", str(tmp_path / "catalog.json"),
+            "--backend", f"record:{log}", "--in-flight", "2", "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == EXIT_BACKEND
+    assert f"backend error: cannot open record log '{log}'" in capsys.readouterr().err
+    assert stub.requests == 0
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_cli_reject_sample_on_a_recorded_log_matches_the_live_run(hair_catalog, tmp_path):
