@@ -10,10 +10,11 @@ option except the command's input files, which its subparser names once
 in ``inputs``; ``input_hashes`` hashes the input files given; and
 ``template_hash`` is recorded for the commands that build prompts
 (export-sft, reject-sample, fill). Identical inputs and options therefore
-produce byte-identical outputs. Exit codes: 0 success, 1 usage error,
-2 data error, 3 backend error. An input file that is not UTF-8 or not JSON,
-or that holds a ``\\u`` escape decoding to an unpaired surrogate, is a data
-error (2), refused as it is read.
+produce byte-identical outputs. Exit codes, each carried by its error
+class: 0 success; 1 a bad option, refused by its argparse ``type=`` before
+any input is read or any file is made; 2 data error; 3 backend error. An
+input file that is not UTF-8 or not JSON, or that holds a ``\\u`` escape
+decoding to an unpaired surrogate, is a data error, refused as it is read.
 """
 
 from __future__ import annotations
@@ -33,32 +34,26 @@ from . import __version__
 from .errors import (
     AlignmentError,
     ArgroundError,
-    AuthError,
     BackendError,
     InvalidArgumentMap,
-    LogCorrupt,
     MalformedArguments,
     NoArgumentObject,
+    UsageError,
 )
-from .generation import DEFAULT_IN_FLIGHT, backend_from_spec, generate_all
+from .generation import DEFAULT_IN_FLIGHT, MAX_IN_FLIGHT, backend_from_spec, generate_all, split_backend_spec
 from .metrics import emit_error_panel, evaluate_corpus, metrics_report_csv
 from .parsing import extract_argument_map
 from .prompting import default_request, multistep_map, slot_requests, template_hashes
 from .sampler import SamplerConfig, export_sft_dataset, rejection_sample
-from .schema import argument_map_from_obj, dialogue_to_obj, load_dialogues, load_schema_catalog, read_json, read_jsonl
+from .schema import argument_map_from_obj, dialogue_to_obj, has_surrogate, load_dialogues, load_schema_catalog
+from .schema import read_json, read_jsonl
 from .scoring import classify_errors
 from .splits import build_split_manifest, split_in_domain, split_out_of_domain
 
 logger = logging.getLogger(__name__)
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_BACKEND = 3
-
-
-class UsageError(Exception):
-    pass
+EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_BACKEND = 0, UsageError.exit_code, ArgroundError.exit_code, BackendError.exit_code
+_EXIT_LABELS = {EXIT_USAGE: "usage error", EXIT_DATA: "data error", EXIT_BACKEND: "backend error"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,16 +263,43 @@ def _cmd_split(args) -> dict[str, str]:
 
 # --- parser ------------------------------------------------------------------
 
+def _option_type(convert, accept, rule: str):
+    """An argparse ``type=``: ``convert(text)`` if ``accept`` holds for it, else an error stating ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:  # not a number, or split_backend_spec refused it
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return parse
+
+
+def _backend_ok(spec: str) -> bool:
+    kind, model = split_backend_spec(spec)
+    return kind != "http" or not has_surrogate(model)
+
+
+_POSITIVE = _option_type(int, lambda n: n >= 1, "must be an integer >= 1")
+_TEXT = _option_type(str, lambda text: not has_surrogate(text), "must encode as UTF-8")
+_FRACTION = _option_type(float, lambda f: 0 < f < 1, "must be a number in (0, 1)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="arground", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p, temperature_default):
-        p.add_argument("--backend", required=True, help="http:<model> | mock:<script> | replay:<log> | record:<log>")
-        p.add_argument("--temperature", type=float, default=temperature_default)
-        p.add_argument("--max-tokens", type=int, default=256)
-        p.add_argument("--in-flight", type=int, default=DEFAULT_IN_FLIGHT,
-                       help="at most N backend requests outstanding; "
+        p.add_argument("--backend", required=True, help="http:<model> | mock:<script> | replay:<log> | record:<log>",
+                       type=_option_type(str, _backend_ok, "must be kind:argument, the kind http, mock, replay or "
+                                                           "record, and an http: model must encode as UTF-8"))
+        p.add_argument("--temperature", default=temperature_default, type=_option_type(
+            float, lambda t: 0 <= t < float("inf"), "temperature must be a finite number >= 0"))
+        p.add_argument("--max-tokens", type=_POSITIVE, default=256)
+        p.add_argument("--in-flight", default=DEFAULT_IN_FLIGHT, type=_option_type(
+                           int, lambda n: 1 <= n <= MAX_IN_FLIGHT, f"must be an integer in [1, {MAX_IN_FLIGHT}]"),
+                       help=f"at most N backend requests outstanding, 1 <= N <= {MAX_IN_FLIGHT}; "
                             "mock and replay: backends are answered one at a time")
 
     p = sub.add_parser("export-sft", help="emit gold prompt/completion training data")
@@ -290,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dialogues", required=True)
     p.add_argument("--schemas", required=True)
     add_backend_flags(p, temperature_default=0.8)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_POSITIVE, default=4)
     p.add_argument("--strict", action="store_true", help="backend failures abort the run")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reject_sample, inputs=("dialogues", "schemas"))
@@ -308,9 +330,9 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True)
     p.add_argument("--schemas", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dataset", default="")
-    p.add_argument("--split", default="")
-    p.add_argument("--backend-label", default="")
+    p.add_argument("--dataset", type=_TEXT, default="")
+    p.add_argument("--split", type=_TEXT, default="")
+    p.add_argument("--backend-label", type=_TEXT, default="")
     p.add_argument("--scored-out", default="", help="also write predictions with embedded breakdowns")
     p.set_defaults(func=_cmd_evaluate, inputs=("pred", "gold", "schemas"))
 
@@ -324,11 +346,12 @@ def build_parser() -> _Parser:
         sp.add_argument("--out-test", required=True)
         sp.add_argument("--manifest", default="")
         if kind == "in-domain":
-            sp.add_argument("--fraction", type=float, required=True)
+            sp.add_argument("--fraction", type=_FRACTION, required=True)
             sp.add_argument("--seed", type=int, required=True)
             sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas"))
         else:
-            sp.add_argument("--holdout", required=True, help="comma-separated domains")
+            sp.add_argument("--holdout", required=True, help="comma-separated domains", type=_option_type(
+                str, lambda h: h.replace(",", " ").strip() and not has_surrogate(h), "must name a domain, in UTF-8"))
             sp.add_argument("--synonyms", default="", help="JSON file mapping domain -> synonym")
             sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas", "synonyms"))
 
@@ -343,24 +366,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         _write_run(args, args.func(args))
         return EXIT_OK
-    except (BackendError, AuthError, LogCorrupt) as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except (ArgroundError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ArgroundError, OSError, UnicodeDecodeError) as exc:  # an unreadable input file is a data error
+        code = getattr(exc, "exit_code", EXIT_DATA)
+        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

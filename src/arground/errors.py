@@ -1,13 +1,22 @@
 """Exception types shared across the toolkit.
 
-Grouping matters for the CLI exit-code policy: backend-side failures
-(BackendError and friends, AuthError, LogCorrupt) map to exit 3, every
-other ArgroundError maps to exit 2 (data error).
+Each class carries the exit code the CLI returns for it, as ``exit_code``:
+1 for a bad command-line option (UsageError), 3 for a backend-side failure
+(BackendError and its subclass ReplayMiss, AuthError, LogCorrupt), and 2, a
+data error, for every other ArgroundError.
 """
 
 
 class ArgroundError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
+
+
+class UsageError(ArgroundError):
+    """A command-line option that breaks its rule; raised before any input is read."""
+
+    exit_code = 1
 
 
 # --- schema / dataset ------------------------------------------------------
@@ -21,24 +30,19 @@ class InvalidArgumentMap(ArgroundError):
 
 
 class ParseError(ArgroundError):
-    """Malformed catalog or dataset document."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-class DuplicateApi(ArgroundError):
-    """Two catalog entries share an api_name."""
+    """Malformed catalog or dataset document; the message names the position."""
 
 
 class SchemaInvalid(ArgroundError):
-    """An API schema or slot violates its invariants."""
+    """An API schema or slot violates its invariants, or two share an api_name."""
 
 
 class DatasetInvalid(ArgroundError):
-    """A dialogue record violates its invariants."""
+    """A dialogue record violates its invariants or does not fit its catalog."""
+
+
+class DegenerateSplit(ArgroundError):
+    """A split over no dialogues or an unknown holdout domain, or leaving a side empty."""
 
 
 # --- model-output parsing --------------------------------------------------
@@ -56,10 +60,6 @@ class MalformedArguments(ArgroundError):
 
 
 # --- scoring / metrics -----------------------------------------------------
-
-class GoldSchemaMismatch(ArgroundError):
-    """A gold argument key does not exist in the schema (dataset bug)."""
-
 
 class EmptyCorpus(ArgroundError):
     """A corpus-level metric was asked to score zero samples."""
@@ -82,11 +82,9 @@ class EmptySlotResponse(ArgroundError):
 # --- generation backends ---------------------------------------------------
 
 class BackendError(ArgroundError):
-    """Generation failed after retries; carries the failing slot if any."""
+    """Generation failed after retries."""
 
-    def __init__(self, message: str, slot: str | None = None):
-        super().__init__(message)
-        self.slot = slot
+    exit_code = 3
 
 
 class ReplayMiss(BackendError):
@@ -94,26 +92,16 @@ class ReplayMiss(BackendError):
 
 
 class AuthError(ArgroundError):
-    """Authentication failure; never retried."""
+    """Authentication failure; never retried, and not a BackendError, so no run skips past it."""
+
+    exit_code = 3
 
 
 class LogCorrupt(ArgroundError):
     """Record log contains an unreadable entry."""
 
+    exit_code = 3
+
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(f"{message} (byte offset {offset})" if offset is not None else message)
         self.offset = offset
-
-
-# --- dataset splitting -----------------------------------------------------
-
-class EmptyDataset(ArgroundError):
-    """Split requested over zero dialogues."""
-
-
-class DegenerateSplit(ArgroundError):
-    """Split would leave one side empty."""
-
-
-class UnknownDomain(ArgroundError):
-    """Holdout domain not present in the data or the synonym map."""

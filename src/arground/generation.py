@@ -49,6 +49,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import AuthError, BackendError, LogCorrupt, ReplayMiss
+from .schema import has_surrogate
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +58,7 @@ DEFAULT_TIMEOUT = 60.0
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = 0.5
 DEFAULT_IN_FLIGHT = 4
+MAX_IN_FLIGHT = 1024  # generate_all may start this many threads
 MAX_RETRY_AFTER_S = 30.0
 
 ENV_API_KEY = "ARGROUND_API_KEY"
@@ -229,9 +231,9 @@ def _opener():
 class HttpBackend(GenerationBackend):
     """Chat-completion client: POST {base}/chat/completions.
 
-    Reads ARGROUND_API_KEY / ARGROUND_BASE_URL / ARGROUND_MODEL; a ``model``
-    given here overrides ARGROUND_MODEL, and a base URL that is not http://
-    or https:// is refused here, before any request.
+    Reads ARGROUND_API_KEY / ARGROUND_BASE_URL / ARGROUND_MODEL, the last unless
+    ``model`` is given, and refuses a base URL that is not ASCII http(s), a key
+    that is not printable ASCII or a model not in UTF-8, before any request.
     Transient failures (connection errors, 429, 5xx) are retried with
     exponential backoff, or after a 429's or 503's numeric ``Retry-After``
     capped at ``MAX_RETRY_AFTER_S``; auth failures are not retried.
@@ -261,15 +263,17 @@ class HttpBackend(GenerationBackend):
 
         url = base_url or os.environ.get(ENV_BASE_URL) or DEFAULT_BASE_URL
         parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
+        if parts.scheme not in ("http", "https") or not parts.hostname or not url.isascii():
             raise BackendError(f"base URL {url!r} is not an http:// or https:// URL with a host")
         self.base_url = url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
         self.model = model or os.environ.get(ENV_MODEL, "")
         if not self.api_key:
             raise AuthError(f"{ENV_API_KEY} is not set")
-        if not self.model:
-            raise BackendError(f"no model configured (set {ENV_MODEL} or use http:<model>)")
+        if not (self.api_key.isascii() and self.api_key.isprintable()):  # what an HTTP header can carry
+            raise AuthError(f"{ENV_API_KEY} is not printable ASCII")
+        if not self.model or has_surrogate(self.model):  # the model is named in artifacts, written as UTF-8
+            raise BackendError(f"no UTF-8 model configured: {self.model!r} (set {ENV_MODEL} or use http:<model>)")
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -426,8 +430,8 @@ def generate_all(
     looks each request up in memory, so it is answered in line too: a thread
     pool would only add hand-offs. A recording store and ``http:`` use the pool.
     """
-    if in_flight < 1:
-        raise ValueError("in_flight must be >= 1")
+    if not 1 <= in_flight <= MAX_IN_FLIGHT:
+        raise ValueError(f"in_flight must be in [1, {MAX_IN_FLIGHT}]")
 
     def send(request: GenerationRequest) -> GenerationRecord | BackendError:
         try:
@@ -445,13 +449,19 @@ def generate_all(
     return [[next(results) for _ in group] for group in groups]
 
 
+def split_backend_spec(spec: str) -> tuple[str, str]:
+    """``(kind, argument)`` of a ``kind:argument`` spec; ValueError unless the kind is http, mock, replay or record."""
+    kind, sep, arg = spec.partition(":")
+    if not sep or kind not in ("http", "mock", "replay", "record"):
+        raise ValueError(f"backend spec {spec!r} must look like kind:argument (kind: http|mock|replay|record)")
+    return kind, arg
+
+
 def backend_from_spec(spec: str) -> GenerationBackend:
     """Build a backend from ``http:<model>``, ``mock:<script>``,
     ``replay:<log>``, or ``record:<log>`` (the store in front of the
     default live backend). ``http:`` and ``http:default`` use ARGROUND_MODEL."""
-    kind, sep, arg = spec.partition(":")
-    if not sep:
-        raise ValueError(f"backend spec {spec!r} must look like kind:argument")
+    kind, arg = split_backend_spec(spec)
     if kind == "http":
         return HttpBackend(model=None if arg == "default" else arg)
     if kind == "mock":
@@ -459,10 +469,8 @@ def backend_from_spec(spec: str) -> GenerationBackend:
             return MockBackend.from_script(arg)
         except (OSError, UnicodeDecodeError) as exc:
             raise BackendError(f"cannot read mock script {arg!r}: {exc}")
-    if kind in ("replay", "record"):
-        inner = HttpBackend() if kind == "record" else None
-        try:
-            return open_replay(arg, inner)
-        except OSError as exc:
-            raise BackendError(f"cannot open {kind} log {arg!r}: {exc}")
-    raise ValueError(f"unknown backend kind {kind!r} (expected http|mock|replay|record)")
+    inner = HttpBackend() if kind == "record" else None
+    try:
+        return open_replay(arg, inner)
+    except OSError as exc:
+        raise BackendError(f"cannot open {kind} log {arg!r}: {exc}")

@@ -129,11 +129,13 @@ def build_slot_prompt(schema: ApiSchema, dialogue: Dialogue, slot: SlotSpec) -> 
 def parse_slot_response(raw: str) -> str | None:
     """First non-empty line, canonicalized; NONE maps to absent.
 
+    Only ``"\\n"`` ends a line, as in the slot request's stop sequence; any
+    other line break (``\\r``, U+0085, U+2028) is whitespace within a line.
     Outer quotes are stripped only when the whole line is quoted; a quote
     embedded mid-line is kept verbatim. A line holding a surrogate, which
     no artifact can encode, is unusable like an empty one.
     """
-    for line in raw.splitlines():
+    for line in raw.split("\n"):
         line = line.strip()
         if not line:
             continue
@@ -193,10 +195,8 @@ def multistep_map(
     arguments: ArgumentMap = {}
     for slot, record in zip(schema.slots, records):
         if isinstance(record, BackendError):
-            raise BackendError(
-                f"backend failed on slot '{slot.name}' of dialogue '{dialogue.id}': {record}",
-                slot=slot.name,
-            ) from record
+            failure = f"backend failed on slot '{slot.name}' of dialogue '{dialogue.id}': {record}"
+            raise BackendError(failure) from record
         try:
             value = parse_slot_response(record.outputs[0])
         except EmptySlotResponse as exc:

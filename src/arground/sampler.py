@@ -51,10 +51,6 @@ class SamplerConfig:
     in_flight: int = 4
     strict: bool = False
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
 
 def gold_training_example(dialogue: Dialogue, schema: ApiSchema, prompt: str) -> TrainingExample:
     """The gold example for ``prompt``, the dialogue's default prompt: its

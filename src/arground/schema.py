@@ -39,15 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import (
-    DatasetInvalid,
-    DuplicateApi,
-    GoldSchemaMismatch,
-    InvalidArgumentMap,
-    InvalidKey,
-    ParseError,
-    SchemaInvalid,
-)
+from .errors import DatasetInvalid, InvalidArgumentMap, InvalidKey, ParseError, SchemaInvalid
 from .fuzzy import values_match
 
 SLOT_KINDS = ("free-text", "integer", "boolean", "categorical", "date", "time")
@@ -242,16 +234,18 @@ def _read_source(source) -> str:
     return source.read()
 
 
-def _decode(text: str, where: str, lineno: int | None = None):
+def _decode(text: str, where: str, indent: int | None = None):
+    """Decode a whole document, or, given ``indent``, a JSONL line stripped of that many leading blanks."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{where} is not valid JSON: {exc.msg}", line=lineno or exc.lineno, column=exc.colno)
+        at = f"line {exc.lineno} column {exc.colno}" if indent is None else f"column {exc.colno + indent}"
+        raise ParseError(f"{where} is not valid JSON: {exc.msg} at {at}")
     except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or nesting past the stack
-        raise ParseError(f"{where}: {exc}", line=lineno)
+        raise ParseError(f"{where}: {exc}")
     # Only an escape can put a surrogate into text that was read as UTF-8.
     if "\\u" in text and has_surrogate(json.dumps(value, ensure_ascii=False)):
-        raise ParseError(f"{where}: unpaired surrogate escape", line=lineno)
+        raise ParseError(f"{where}: unpaired surrogate escape")
     return value
 
 
@@ -273,14 +267,14 @@ def read_jsonl(source, name: str) -> Iterator[tuple[str, dict]]:
     program's JSONL writers put U+0085, U+2028 and U+2029 into strings raw,
     and ``str.splitlines`` would break a line there.
     """
-    for lineno, line in enumerate(_read_source(source).split("\n"), start=1):
-        line = line.strip()
+    for lineno, raw in enumerate(_read_source(source).split("\n"), start=1):
+        line = raw.strip()
         if not line:
             continue
         where = f"{name} line {lineno}"
-        obj = _decode(line, where, lineno)
+        obj = _decode(line, where, len(raw) - len(raw.lstrip()))
         if not isinstance(obj, dict):
-            raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}", line=lineno)
+            raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
         yield where, obj
 
 
@@ -350,7 +344,7 @@ def load_schema_catalog(source) -> dict[str, ApiSchema]:
     for obj in doc:
         schema = _schema_from_obj(obj)
         if schema.api_name in catalog:
-            raise DuplicateApi(f"duplicate api_name '{schema.api_name}'")
+            raise SchemaInvalid(f"duplicate api_name '{schema.api_name}'")
         catalog[schema.api_name] = schema
     return catalog
 
@@ -417,8 +411,8 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
 
 def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[Dialogue]:
     """Load a JSONL dialogue dataset. Given a catalog, a target_api outside it
-    raises DatasetInvalid, and a gold key that is not a slot of the target
-    schema raises GoldSchemaMismatch; callers with that catalog rely on both."""
+    or a gold key that is not a slot of the target schema raises
+    DatasetInvalid; callers with that catalog rely on both."""
     dialogues: list[Dialogue] = []
     seen_ids: set[str] = set()
     for where, obj in read_jsonl(source, "dataset"):
@@ -436,6 +430,6 @@ def load_dialogues(source, catalog: dict[str, ApiSchema] | None = None) -> list[
                 raise DatasetInvalid(f"{where}: target_api '{api}' not in catalog")
             for key in dialogue.gold_arguments:
                 if key not in schema.by_name:
-                    raise GoldSchemaMismatch(f"{where}: gold key '{key}' not in schema '{api}'")
+                    raise DatasetInvalid(f"{where}: gold key '{key}' not in schema '{api}'")
         dialogues.append(dialogue)
     return dialogues

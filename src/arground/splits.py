@@ -5,8 +5,9 @@ sorted by id, shuffled with a per-domain seeded RNG, and ceil(fraction*n)
 go to test (capped so each domain keeps one dialogue in train; a domain
 with a single dialogue goes to train). Out-of-domain splits hold out whole
 domains plus everything connected to them through a user-supplied synonym
-map, and assert the resulting domain sets are disjoint. A split that would
-leave either side empty raises ``DegenerateSplit``. Both splits are pure
+map, and assert the resulting domain sets are disjoint. A split over no
+dialogues, or naming an unknown holdout domain, or that would leave either
+side empty (as no holdout domain does) raises ``DegenerateSplit``. Both splits are pure
 functions of (content, parameters, seed), insensitive to input order.
 """
 
@@ -17,7 +18,7 @@ import math
 import random
 from typing import Iterable
 
-from .errors import DegenerateSplit, EmptyDataset, UnknownDomain
+from .errors import DegenerateSplit
 from .schema import Dialogue, canonicalize_value
 
 logger = logging.getLogger(__name__)
@@ -32,7 +33,7 @@ def split_in_domain(
     test side would then be empty.
     """
     if not dialogues:
-        raise EmptyDataset("cannot split an empty dataset")
+        raise DegenerateSplit("cannot split an empty dataset")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     by_domain: dict[str, list[str]] = {}
@@ -86,10 +87,8 @@ def split_out_of_domain(
 ) -> tuple[list[Dialogue], list[Dialogue]]:
     """Hold out whole domains (and their synonyms) as the test set."""
     if not dialogues:
-        raise EmptyDataset("cannot split an empty dataset")
+        raise DegenerateSplit("cannot split an empty dataset")
     holdout = {canonicalize_value(h) for h in holdout_domains}
-    if not holdout:
-        raise UnknownDomain("holdout_domains is empty")
     present = {d.domain for d in dialogues}
     known = set(present)
     if overlap_map:
@@ -98,7 +97,7 @@ def split_out_of_domain(
             known.add(canonicalize_value(b))
     for domain in sorted(holdout):
         if domain not in known:
-            raise UnknownDomain(f"holdout domain '{domain}' not in data or synonym map")
+            raise DegenerateSplit(f"holdout domain '{domain}' not in data or synonym map")
 
     closure = _synonym_closure(holdout, overlap_map)
     test = [d for d in dialogues if d.domain in closure]

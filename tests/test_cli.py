@@ -436,6 +436,76 @@ def test_in_flight_below_one_is_usage_error(command, in_flight, tmp_path, hair_c
     assert not (tmp_path / "out.jsonl").exists()
 
 
+_MISSING_INPUTS = ("--dialogues", "{d}/missing.jsonl", "--schemas", "{d}/missing.json")
+_BAD_OPTION_COMMANDS = {
+    "fill": ["fill", *_MISSING_INPUTS, "--backend", "mock:{d}/missing.script", "--out", "{d}/out.jsonl"],
+    "reject-sample": ["reject-sample", *_MISSING_INPUTS, "--backend", "mock:{d}/missing.script",
+                      "--out", "{d}/out.jsonl"],
+    "evaluate": ["evaluate", "--pred", "{d}/missing.jsonl", "--gold", "{d}/missing.jsonl",
+                 "--schemas", "{d}/missing.json", "--out", "{d}/metrics.csv"],
+    "in-domain": ["split", "in-domain", "--dialogues", "{d}/missing.jsonl", "--out-train", "{d}/train.jsonl",
+                  "--out-test", "{d}/test.jsonl", "--seed", "1"],
+    "out-of-domain": ["split", "out-of-domain", "--dialogues", "{d}/missing.jsonl",
+                      "--out-train", "{d}/train.jsonl", "--out-test", "{d}/test.jsonl"],
+}
+_RECORD = ("--backend", "record:{d}/log.jsonl")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("fill", ("--backend", "bogus:x")),
+    ("fill", ("--backend", "mock")),
+    ("fill", ("--backend", "http:m\udcff")),
+    ("fill", ("--temperature", "nan")),
+    ("fill", ("--temperature", "inf")),
+    ("fill", ("--temperature", "-0.5")),
+    ("fill", ("--max-tokens", "0")),
+    ("fill", ("--in-flight", "0")),
+    ("fill", ("--in-flight", "100000")),
+    ("fill", (*_RECORD, "--in-flight", "0")),
+    ("reject-sample", ("--k", "0")),
+    ("reject-sample", (*_RECORD, "--k", "0")),
+    ("reject-sample", ("--in-flight", "-2")),
+    ("evaluate", ("--dataset", "x\udcff")),
+    ("evaluate", ("--split", "x\udcff")),
+    ("evaluate", ("--backend-label", "x\udcff")),
+    ("in-domain", ("--fraction", "nan")),
+    ("in-domain", ("--fraction", "0")),
+    ("in-domain", ("--fraction", "1")),
+    ("out-of-domain", ("--holdout", ",,")),
+    ("out-of-domain", ("--holdout", " , ")),
+    ("out-of-domain", ("--holdout", "salon,x\udcff")),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_a_bad_option_exits_1_before_any_input_is_read(command, option, tmp_path, monkeypatch, capsys):
+    """Every input is missing, so only a check made before any is read can exit 1."""
+    monkeypatch.setenv("ARGROUND_API_KEY", "test-key")
+    argv = [arg.format(d=tmp_path) for arg in (*_BAD_OPTION_COMMANDS[command], *option)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: argument {option[-2]}: ")
+    assert list(tmp_path.iterdir()) == []  # no artifact, and no record log
+
+
+@pytest.mark.parametrize("catalog, position", [
+    ('[{"api_name": }]', "line 1 column 15"),
+    ('[\n  {"api_name": "a",\n   "slots": [}]\n', "line 3 column 14"),
+])
+def test_a_catalog_that_is_not_json_is_refused_with_its_position(catalog, position, tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    (tmp_path / "catalog.json").write_text(catalog, encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert f"data error: catalog is not valid JSON: Expecting value at {position}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_a_dataset_line_that_is_not_json_is_refused_with_its_column(tmp_path, hair_catalog, capsys):
+    _fixture_files(tmp_path, hair_catalog)
+    with (tmp_path / "dialogues.jsonl").open("a", encoding="utf-8") as handle:
+        handle.write('  {"id": }\n')
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "data error: dataset line 7 is not valid JSON: Expecting value at column 10\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "backend, log",
     [

@@ -22,6 +22,7 @@ from arground.generation import (
     GenerationRecord,
     GenerationRequest,
     HttpBackend,
+    MAX_IN_FLIGHT,
     MockBackend,
     backend_from_spec,
     generate_all,
@@ -321,6 +322,30 @@ def test_fill_refuses_a_base_url_that_is_not_http_before_any_request(base_url, t
     assert sent == [] and not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("env, message", [
+    ({"ARGROUND_API_KEY": "key\r"}, "ARGROUND_API_KEY is not printable ASCII"),
+    ({"ARGROUND_API_KEY": "ключ"}, "ARGROUND_API_KEY is not printable ASCII"),
+    ({"ARGROUND_BASE_URL": "http://127.0.0.1:9/vé"}, "is not an http:// or https:// URL with a host"),
+    ({"ARGROUND_MODEL": "m\udcff"}, "no UTF-8 model configured: 'm\\udcff'"),
+])
+def test_record_refuses_a_configuration_no_request_can_carry_before_the_log_is_made(env, message, tmp_path,
+                                                                                     monkeypatch, capsys):
+    sent = []
+    monkeypatch.setattr(HttpBackend, "_post", lambda self, payload: sent.append(payload))
+    argv = _http_argv("fill", 0, tmp_path, monkeypatch)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == EXIT_BACKEND
+    assert message in capsys.readouterr().err
+    assert sent == [] and not (tmp_path / "out.jsonl").exists() and not (tmp_path / "log.jsonl").exists()
+
+
+def test_backend_from_spec_refuses_an_unknown_kind_without_argparse():
+    for spec in ("bogus:x", "mock"):
+        with pytest.raises(ValueError, match="must look like kind:argument"):
+            backend_from_spec(spec)
+
+
 @pytest.mark.parametrize("temperature", ["nan", "inf"])
 def test_fill_refuses_a_temperature_that_is_not_finite_before_any_request(temperature, tmp_path, monkeypatch,
                                                                           capsys):
@@ -439,6 +464,11 @@ def test_generate_all_returns_a_backend_error_as_its_record():
 def test_generate_all_rejects_in_flight_below_one(in_flight):
     with pytest.raises(ValueError, match="in_flight"):
         generate_all(_Counting(), [_tagged("a")], in_flight)
+
+
+def test_generate_all_refuses_in_flight_above_the_bound():
+    with pytest.raises(ValueError, match="in_flight"):
+        generate_all(_Counting(), [_tagged("a")], MAX_IN_FLIGHT + 1)
 
 
 def test_mock_backend_is_sent_one_request_at_a_time():

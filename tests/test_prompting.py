@@ -85,6 +85,18 @@ class TestParseSlotResponse:
         with pytest.raises(EmptySlotResponse):
             parse_slot_response("\n   \n")
 
+    @pytest.mark.parametrize("raw, value", [
+        ("john\u2028smith", "john smith"),
+        ("john\x85smith", "john smith"),
+        ("john\x0csmith", "john smith"),
+        ("john\rsmith", "john smith"),
+        ("john\r\nsmith", "john"),
+        ("john\nsmith", "john"),
+    ])
+    def test_only_a_newline_ends_the_line(self, raw, value):
+        """The slot request stops at "\\n", so no other line break cuts a value short."""
+        assert parse_slot_response(raw) == value
+
 
 def _multistep(backend, schema, dialogue):
     (records,) = generate_all(backend, [slot_requests(schema, dialogue, 0.0, 64)])
@@ -106,9 +118,8 @@ class TestMultistep:
 
     def test_backend_error_names_slot(self, hair_schema, hair_dialogue):
         backend = MockBackend(["john"])  # exhausted on the second slot
-        with pytest.raises(BackendError) as exc:
+        with pytest.raises(BackendError, match=r"^backend failed on slot 'time' of dialogue 'd1': "):
             _multistep(backend, hair_schema, hair_dialogue)
-        assert exc.value.slot == "time"
 
     def test_empty_response_treated_absent(self, hair_schema, hair_dialogue):
         backend = MockBackend(["john", "   ", "jess"])

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from arground.errors import (
     DatasetInvalid,
-    DuplicateApi,
-    GoldSchemaMismatch,
     InvalidArgumentMap,
     InvalidKey,
     ParseError,
@@ -239,7 +237,7 @@ class TestCatalog:
                 {"api_name": "A", "slots": [{"name": "y", "kind": "integer"}]},
             ]
         )
-        with pytest.raises(DuplicateApi):
+        with pytest.raises(SchemaInvalid):
             load_schema_catalog(io.StringIO(doc))
 
     def test_empty_allowed_values(self):
@@ -255,9 +253,8 @@ class TestCatalog:
             load_schema_catalog(io.StringIO(doc))
 
     def test_parse_error_carries_position(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match=r"^catalog is not valid JSON: Expecting value at line 1 column 15$"):
             load_schema_catalog(io.StringIO('[{"api_name": }]'))
-        assert exc.value.line is not None
 
     def test_schema_needs_slots(self):
         with pytest.raises(SchemaInvalid):
@@ -311,8 +308,8 @@ class TestDialogues:
     def test_a_gold_key_outside_its_schema_is_gold_schema_mismatch(self, hair_catalog, hair_dialogue):
         stray = {**dialogue_to_obj(hair_dialogue), "id": "d2", "gold_arguments": {"name": "ann", "Colour": "red"}}
         text = jsonl([dialogue_to_obj(hair_dialogue), stray])
-        with pytest.raises(GoldSchemaMismatch, match=r"^dataset line 2: dialogue 'd2': gold key 'colour' not in "
-                                                     r"schema 'hair_appointment'$"):
+        with pytest.raises(DatasetInvalid, match=r"^dataset line 2: dialogue 'd2': gold key 'colour' not in "
+                                                 r"schema 'hair_appointment'$"):
             load_dialogues(io.StringIO(text), hair_catalog)
         # without a catalog there is no schema to check against
         assert list(load_dialogues(io.StringIO(text))[1].gold_arguments) == ["name", "colour"]

@@ -67,12 +67,12 @@ _TAXI_CAB = ("--synonyms", "{d}/synonyms.json")
 @pytest.mark.parametrize(
     "sizes, kind, extra, message",
     [
-        ({}, "in-domain", _IN_DOMAIN, "cannot split an empty dataset"),  # EmptyDataset
+        ({}, "in-domain", _IN_DOMAIN, "cannot split an empty dataset"),  # each one DegenerateSplit
         ({}, "out-of-domain", ("--holdout", "salon"), "cannot split an empty dataset"),
-        ({"salon": 1, "barber": 1}, "in-domain", _IN_DOMAIN, "test side"),  # DegenerateSplit
+        ({"salon": 1, "barber": 1}, "in-domain", _IN_DOMAIN, "test side"),
         ({"salon": 2, "barber": 2}, "out-of-domain", ("--holdout", "taxi", *_TAXI_CAB), "test side"),
         ({"salon": 2, "cab": 2}, "out-of-domain", ("--holdout", "salon,taxi", *_TAXI_CAB), "train side"),
-        ({"salon": 2, "barber": 2}, "out-of-domain", ("--holdout", "spa"), "holdout domain 'spa'"),  # UnknownDomain
+        ({"salon": 2, "barber": 2}, "out-of-domain", ("--holdout", "spa"), "holdout domain 'spa'"),
     ],
     ids=["empty-in-domain", "empty-out-of-domain", "in-domain-singletons", "out-of-domain-empty-test",
          "out-of-domain-empty-train", "unknown-holdout"],
