@@ -287,7 +287,8 @@ _FRACTION = _option_type(float, lambda f: 0 < f < 1, "must be a number in (0, 1)
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="arground", description=__doc__)
+    parser = _Parser(prog="arground",
+                     description="Grounding, scoring and data curation for LLM-based API argument filling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p, temperature_default):

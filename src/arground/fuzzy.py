@@ -9,12 +9,32 @@ bit-vector algorithm (Myers 1999, JACM 46(3)) in Hyyrö's 2001 formulation
 over Python ints: after the common prefix and suffix are stripped, the
 shorter string becomes the pattern, one bit per character, and each
 character of the longer string updates the whole DP column at once.
-``values_match`` answers equal strings at once and rejects a pair whose
-length gap alone already fails the threshold, since the distance is at
-least that gap; only the remaining pairs pay for the distance.
+
+``values_match`` decides a pair by ``1.0 - d / longest >= MATCH_THRESHOLD``
+on the edit distance ``d``, and settles most pairs from cheaper bounds on
+``d`` first, in this order:
+
+1. equal strings match;
+2. the length gap is a lower bound on ``d``, so a gap that fails the
+   threshold rejects;
+3. for equal lengths, the Hamming distance is an upper bound on ``d``
+   (substitutions alone turn one string into the other), so a Hamming
+   distance that passes the threshold accepts;
+4. the bag distance ``longest - char_overlap(pred, gold)`` is a lower
+   bound on ``d`` (Bartolini, Ciaccia and Patella 2002: it is 0 for equal
+   strings and one edit moves it by at most one), so a bag distance that
+   fails the threshold rejects;
+5. only the pairs left over pay for ``levenshtein``.
+
+Every bound goes through the same float expression as ``d`` itself.
+Correctly rounded division and subtraction are monotone, so an upper bound
+that passes, or a lower bound that fails, gives the very decision ``d``
+would: no pair can flip.
 """
 
 from __future__ import annotations
+
+import operator
 
 MATCH_THRESHOLD = 0.85
 
@@ -62,11 +82,23 @@ def levenshtein(a: str, b: str) -> int:
     return dist
 
 
+def char_overlap(a: str, b: str) -> int:
+    """Size of the multiset intersection of the characters of ``a`` and ``b``."""
+    if a == b:
+        return len(a)
+    chars = set(a)
+    return sum(map(min, map(a.count, chars), map(b.count, chars)))
+
+
 def values_match(pred: str, gold: str) -> bool:
     """Symmetric fuzzy equality on canonicalized strings."""
     if pred == gold:
         return True
     longest = max(len(pred), len(gold))
     if 1.0 - abs(len(pred) - len(gold)) / longest < MATCH_THRESHOLD:
+        return False
+    if len(pred) == len(gold) and 1.0 - sum(map(operator.ne, pred, gold)) / longest >= MATCH_THRESHOLD:
+        return True
+    if 1.0 - (longest - char_overlap(pred, gold)) / longest < MATCH_THRESHOLD:
         return False
     return 1.0 - levenshtein(pred, gold) / longest >= MATCH_THRESHOLD

@@ -6,7 +6,14 @@ penalty, and add-one smoothing on orders 2-4. FM is the percentage of
 gold slots whose value is fuzzy-matched by the prediction (0-100 scale),
 read from the ``correct`` verdicts of ``classify_errors`` (one judgement per slot).
 F1 is micro-averaged character-multiset precision/recall over values
-aligned by exact canonical key.
+aligned by exact canonical key; the multiset overlap of two values is
+``fuzzy.char_overlap``, the same count the bag-distance bound of
+``values_match`` uses.
+
+BLEU clips each order's n-gram counts by the reference's. A hypothesis with
+no repeated n-gram of that order (the common case) matches exactly the
+n-grams it shares with the reference, counted as a set intersection; one
+with repeats is clipped through ``Counter``s.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import AlignmentError, ArgroundError, EmptyCorpus, InvalidBreakdown
+from .fuzzy import char_overlap
 from .parsing import serialize_argument_map
 from .scoring import VERDICT_CORRECT, ErrorBreakdown
 from .schema import ArgumentMap
@@ -77,11 +85,7 @@ def error_rates(breakdowns: Sequence[ErrorBreakdown]) -> tuple[float, float, flo
 
 def _char_stats(pred: ArgumentMap, gold: ArgumentMap) -> tuple[int, int, int]:
     """(multiset overlap on aligned values, total pred chars, total gold chars)."""
-    overlap = 0
-    for key, value in pred.items():
-        if key in gold:
-            inter = Counter(value) & Counter(gold[key])
-            overlap += sum(inter.values())
+    overlap = sum(char_overlap(value, gold[key]) for key, value in pred.items() if key in gold)
     pred_chars = sum(map(len, pred.values()))
     gold_chars = sum(map(len, gold.values()))
     return overlap, pred_chars, gold_chars
@@ -112,10 +116,6 @@ def corpus_char_f1(pairs: Sequence[Pair]) -> float:
     return _f1_from_stats(overlap, pred_chars, gold_chars)
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
-
-
 def corpus_bleu(pairs: Sequence[Pair]) -> float:
     """Corpus BLEU over sorted serializations; 0.0 when no unigram matches."""
     if not pairs:
@@ -129,12 +129,17 @@ def corpus_bleu(pairs: Sequence[Pair]) -> float:
         hyp_len += len(hyp)
         ref_len += len(ref)
         for order in range(1, 5):
-            hyp_counts = _ngram_counts(hyp, order)
-            ref_counts = _ngram_counts(ref, order)
-            totals[order - 1] += sum(hyp_counts.values())
-            matched[order - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+            hyp_grams = list(zip(*(hyp[i:] for i in range(order))))
+            ref_grams = zip(*(ref[i:] for i in range(order)))
+            distinct = set(hyp_grams)
+            totals[order - 1] += len(hyp_grams)
+            if len(distinct) == len(hyp_grams):
+                matched[order - 1] += len(distinct.intersection(ref_grams))
+            else:
+                ref_counts = Counter(ref_grams)
+                matched[order - 1] += sum(
+                    min(count, ref_counts[gram]) for gram, count in Counter(hyp_grams).items()
+                )
     if matched[0] == 0 or totals[0] == 0:
         return 0.0
     log_sum = 0.25 * math.log(matched[0] / totals[0])

@@ -234,7 +234,12 @@ def ref_corpus_bleu(hyp_token_lists, ref_token_lists) -> float:
     precisions = [clipped[1] / produced[1]]
     for n in (2, 3, 4):
         precisions.append((clipped[n] + 1) / (produced[n] + 1))
-    geo_mean = math.exp(sum(math.log(p) for p in precisions) / 4.0)
+    # Summed left to right: from Python 3.12 on, sum() of floats is compensated
+    # and can round differently, and the metrics CSV is compared byte for byte.
+    log_total = 0.0
+    for p in precisions:
+        log_total += math.log(p)
+    geo_mean = math.exp(log_total / 4.0)
     if hyp_total >= ref_total:
         bp = 1.0
     else:

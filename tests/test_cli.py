@@ -427,6 +427,15 @@ def test_k_zero_is_usage_error(tmp_path, hair_catalog):
     assert main(argv) == EXIT_USAGE
 
 
+def test_help_exits_0_with_a_one_line_description(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: arground ")
+    assert "_write_run" not in out and "config_hash" not in out
+
+
 @pytest.mark.parametrize("in_flight", ["0", "-2"])
 @pytest.mark.parametrize("command", ["fill-default", "fill-multistep", "reject-sample"])
 def test_in_flight_below_one_is_usage_error(command, in_flight, tmp_path, hair_catalog):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,56 @@ class TestCorpusBleu:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             corpus_bleu([])
+
+
+# --- exact agreement: the metrics CSV is pinned byte for byte ---------------------
+
+_REPEATING = ["a a b a a b", "a a b a a b a a b", "b b b b b", "a b a b a b a b", "a a a"]
+
+
+def _repeating_corpus(seed):
+    """Gold values that repeat n-grams at every order; predictions of 0 to 3 value tokens or near copies."""
+    rng = random.Random(seed)
+    keys = ["name", "note", "time"]
+    pairs = []
+    for _ in range(40):
+        gold = {key: rng.choice(_REPEATING) for key in rng.sample(keys, rng.randint(1, len(keys)))}
+        pred = {}
+        for key in rng.sample(keys, rng.randint(0, len(keys))):
+            if rng.random() < 0.5:
+                pred[key] = " ".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+            else:
+                pred[key] = rng.choice(_REPEATING)
+        pairs.append((pred, gold))
+    pairs.append(({}, {"name": "a a b a a b"}))
+    return pairs
+
+
+def _counter_char_f1(pairs):
+    overlap = pred_chars = gold_chars = 0
+    for pred, gold in pairs:
+        for key, value in pred.items():
+            if key in gold:
+                overlap += sum((Counter(value) & Counter(gold[key])).values())
+        pred_chars += sum(len(value) for value in pred.values())
+        gold_chars += sum(len(value) for value in gold.values())
+    precision = overlap / pred_chars if pred_chars else 0.0
+    recall = overlap / gold_chars if gold_chars else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_bleu_and_char_f1_equal_their_references_exactly_on_repeated_ngrams(seed):
+    pairs = _repeating_corpus(seed)
+    hyps = [serialize_argument_map(pred, "sorted").split() for pred, _ in pairs]
+    refs = [serialize_argument_map(gold, "sorted").split() for _, gold in pairs]
+    assert corpus_bleu(pairs) == ref_corpus_bleu(hyps, refs)
+    assert corpus_char_f1(pairs) == _counter_char_f1(pairs)
+    for pair, hyp, ref in zip(pairs, hyps, refs):
+        assert corpus_bleu([pair]) == ref_corpus_bleu([hyp], [ref])
+        assert corpus_char_f1([pair]) == _counter_char_f1([pair])
 
 
 SCHEMA = ApiSchema(

@@ -1,10 +1,11 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arground.fuzzy import levenshtein, values_match
+from arground.fuzzy import char_overlap, levenshtein, values_match
 from arground.schema import ApiSchema, SlotSpec
 from arground.scoring import ErrorBreakdown, classify_errors, reward_value
 
@@ -38,6 +39,7 @@ class TestValuesMatch:
     @given(st.text(max_size=12), st.text(max_size=12))
     def test_symmetric_and_agrees_with_oracle(self, a, b):
         assert levenshtein(a, b) == edit_distance(a, b)
+        assert values_match(a, b) == ref_values_match(a, b)
         assert values_match(a, b) == values_match(b, a)
 
     @given(st.text(max_size=12))
@@ -123,6 +125,73 @@ def test_non_bmp_pairs_agree_with_oracle(pair):
 @example(("a" * 16 + "b", "a" * 20))
 def test_length_gap_at_threshold_agrees_with_oracle(pair):
     _agrees_with_oracle(pair)
+
+
+# --- the exact bounds values_match settles pairs with, against the oracle -------
+# Equal-length substitutions are settled by the Hamming upper bound at the
+# largest matching distance and fall through one above it; rotations and shifts
+# have a Hamming distance far above the edit distance, so they must reach
+# Myers; permutations have a bag distance of 0 and a large edit distance.
+
+ALPHABETS = (SMALL_ALPHABET, NON_BMP_ALPHABET)
+derandomized = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _largest_matching_distance(length):
+    return max(d for d in range(length + 1) if 1.0 - d / length >= 0.85)
+
+
+@st.composite
+def substitution_pairs(draw, alphabet):
+    """A string and a copy with substitutions at the largest matching Hamming distance, or one more."""
+    gold = draw(st.text(alphabet=alphabet, min_size=7, max_size=140))
+    hamming = min(len(gold), _largest_matching_distance(len(gold)) + draw(st.sampled_from((0, 1))))
+    positions = draw(st.lists(st.integers(0, len(gold) - 1), min_size=hamming, max_size=hamming, unique=True))
+    chars = list(gold)
+    for pos in positions:
+        chars[pos] = draw(st.sampled_from([c for c in alphabet if c != gold[pos]]))
+    return "".join(chars), gold
+
+
+@st.composite
+def shifted_pairs(draw, alphabet):
+    """A string and its rotation, or the string shifted left with new characters appended."""
+    gold = draw(st.text(alphabet=alphabet, min_size=2, max_size=140))
+    k = draw(st.integers(1, max(1, len(gold) // 8)))
+    if draw(st.booleans()):
+        return gold[k:] + gold[:k], gold
+    return gold[k:] + draw(st.text(alphabet=alphabet, min_size=k, max_size=k)), gold
+
+
+@st.composite
+def permuted_pairs(draw, alphabet):
+    gold = draw(st.text(alphabet=alphabet, min_size=1, max_size=60))
+    return "".join(draw(st.permutations(gold))), gold
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_substitutions_at_the_hamming_boundary_agree_with_oracle(alphabet):
+    derandomized(given(substitution_pairs(alphabet))(_agrees_with_oracle))()
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_rotations_and_shifts_agree_with_oracle(alphabet):
+    derandomized(given(shifted_pairs(alphabet))(_agrees_with_oracle))()
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_permutations_agree_with_oracle(alphabet):
+    derandomized(given(permuted_pairs(alphabet))(_agrees_with_oracle))()
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_char_overlap_is_the_multiset_intersection(alphabet):
+    @derandomized
+    @given(st.text(alphabet=alphabet, max_size=40), st.text(alphabet=alphabet, max_size=40))
+    def check(a, b):
+        assert char_overlap(a, b) == sum((Counter(a) & Counter(b)).values())
+
+    check()
 
 
 class TestClassifyErrors:
