@@ -88,7 +88,7 @@ class BackendError(ArgroundError):
 
 
 class ReplayMiss(BackendError):
-    """Replay log holds no record for this request's content hash."""
+    """Replay log holds no record for this request."""
 
 
 class AuthError(ArgroundError):

@@ -11,8 +11,8 @@ Three backends share one ``generate(request) -> GenerationRecord`` surface:
                       module is imported at the first request, so set-up
                       never pays for it.
 * ``MockBackend``   - deterministic scripted queue, for tests and demos.
-* ``ReplayBackend`` - the response store: a JSONL record log indexed by
-                      request content hash, first record per key wins.
+* ``ReplayBackend`` - the response store: a JSONL record log keyed by the
+                      request, first record per request wins.
 
 ``replay:<log>`` serves the log read-only; a miss raises ``ReplayMiss``, so
 any pipeline run on replay is a pure function of its inputs.
@@ -20,12 +20,13 @@ any pipeline run on replay is a pure function of its inputs.
 whose ``backend_id`` is that backend's are served, a missing log is created
 empty (a log that cannot be written fails before any request), and a miss
 calls the backend and appends the record under a lock. Concurrent misses on
-one key all get the record stored first, so a record run returns exactly
+one request all get the record stored first, so a record run returns exactly
 what a later replay of its log returns, and rerunning a crashed ``fill`` or
 ``reject-sample`` on its log resumes it without repeating a call.
 
-Requests are keyed by a hash of every request field but the tag, not by
-sequence number, so replay tolerates request reordering under concurrency.
+A request is its own key: its equality and hash cover every field but the
+tag, a label the model never sees, so replay matches requests by content,
+not by sequence number, and tolerates reordering under concurrency.
 A log line is the record's fields as JSON with ASCII escapes, so a reply
 holding a lone surrogate, which has no UTF-8 form, is stored like any other.
 
@@ -37,7 +38,6 @@ record or the ``BackendError`` it raised.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import logging
@@ -45,7 +45,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import AuthError, BackendError, LogCorrupt, ReplayMiss
@@ -73,7 +73,7 @@ class GenerationRequest:
     max_tokens: int = 256
     n_samples: int = 1
     stop_sequences: tuple[str, ...] = ()
-    tag: str = ""
+    tag: str = field(default="", compare=False)  # a label, outside the payload, equality and hash
 
     def __post_init__(self):
         object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
@@ -95,17 +95,6 @@ class GenerationRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", tuple(self.outputs))
-
-
-# The encoder json.dumps(..., sort_keys=True, ensure_ascii=False) would build on every call.
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-
-
-def request_key(request: GenerationRequest) -> str:
-    """Content hash of every request field but the tag; indexes record logs."""
-    fields = {name: value for name, value in vars(request).items() if name != "tag"}
-    payload = _KEY_ENCODER.encode(fields)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def record_from_obj(obj: dict) -> GenerationRecord:
@@ -358,7 +347,7 @@ class ReplayBackend(GenerationBackend):
     backend_id = "replay"
 
     def __init__(
-        self, index: dict[str, tuple[str, ...]], inner: GenerationBackend | None = None, path=None
+        self, index: dict[GenerationRequest, tuple[str, ...]], inner: GenerationBackend | None = None, path=None
     ):
         self._index = index
         self._inner = inner
@@ -368,22 +357,21 @@ class ReplayBackend(GenerationBackend):
             self.backend_id = inner.backend_id
 
     def generate(self, request: GenerationRequest) -> GenerationRecord:
-        key = request_key(request)
-        outputs = self._index.get(key)
+        outputs = self._index.get(request)
         if outputs is None:
             if self._inner is None:
-                raise ReplayMiss(f"no recorded response for request {key[:12]}... (tag={request.tag!r})")
+                raise ReplayMiss(f"no recorded response for request (tag={request.tag!r})")
             record = self._inner.generate(request)
             line = json.dumps(asdict(record))
             with self._lock:
-                outputs = self._index.get(key)
+                outputs = self._index.get(request)
                 if outputs is None:  # a racing duplicate keeps the first record
-                    outputs = self._index[key] = record.outputs
+                    outputs = self._index[request] = record.outputs
                     with open(self._path, "a", encoding="utf-8") as handle:
                         handle.write(line + "\n")
         if len(outputs) < request.n_samples:
             raise ReplayMiss(
-                f"recorded response for {key[:12]}... has {len(outputs)} outputs, "
+                f"recorded response for request (tag={request.tag!r}) has {len(outputs)} outputs, "
                 f"{request.n_samples} requested"
             )
         return GenerationRecord(
@@ -394,13 +382,13 @@ class ReplayBackend(GenerationBackend):
 
 
 def open_replay(path, inner: GenerationBackend | None = None) -> ReplayBackend:
-    """Index a record log by request content hash; first record wins per key.
+    """Index a record log by request; first record wins per request.
 
     With ``inner``, only records made by ``inner.backend_id`` are indexed,
     and the log is first opened for append (a missing one is created empty),
     so a log that cannot be written raises ``OSError`` before any request.
     """
-    index: dict[str, tuple[str, ...]] = {}
+    index: dict[GenerationRequest, tuple[str, ...]] = {}
     if inner is not None:
         with open(path, "a", encoding="utf-8"):
             pass
@@ -414,7 +402,7 @@ def open_replay(path, inner: GenerationBackend | None = None) -> ReplayBackend:
                 except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                     raise LogCorrupt(f"unreadable record log entry: {exc}", offset=offset)
                 if inner is None or record.backend_id == inner.backend_id:
-                    index.setdefault(request_key(record.request), record.outputs)
+                    index.setdefault(record.request, record.outputs)
             offset += len(raw_line)
     return ReplayBackend(index, inner, path)
 

@@ -11,6 +11,7 @@ dropped or modified.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import BackendError, MalformedArguments, NoArgumentObject
@@ -100,7 +101,6 @@ def rejection_sample(
     records = generate_all(backend, groups, config.in_flight)
 
     augmented: list[TrainingExample] = []
-    reward_sum = 0.0
     for dialogue, gold, (record,) in zip(dialogues, golds, records):
         augmented.append(gold)
         if isinstance(record, BackendError):
@@ -138,7 +138,8 @@ def rejection_sample(
                 )
             )
         stats.kept += len(kept)
-        reward_sum += sum(e.reward for e in kept)
         augmented.extend(kept)
-    stats.mean_kept_reward = reward_sum / stats.kept if stats.kept else 0.0
+    # fsum is correctly rounded on every Python; sum() of floats is compensated from 3.12 on only
+    kept_rewards = (e.reward for e in augmented if e.source == "sampled")
+    stats.mean_kept_reward = math.fsum(kept_rewards) / stats.kept if stats.kept else 0.0
     return augmented, stats

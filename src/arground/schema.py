@@ -8,6 +8,11 @@ about casing or whitespace again. A canonical value is the text lowercased,
 its leading and trailing whitespace dropped and each inner run of whitespace
 made one space; a canonical key is the same, but each inner run of whitespace
 and hyphens becomes one ``_``. Whitespace is what ``str.isspace`` says it is.
+Both follow the running interpreter's Unicode tables (Python 3.10: 13.0.0,
+3.11: 14.0.0, 3.12: 15.0.0, 3.13: 15.1.0), so identical inputs give
+byte-identical output across versions only when every character was
+assigned in all of them: U+2C2F lowercases to U+2C5F from 3.11 on, and
+stays itself on 3.10.
 
 The entry points are ``load_schema_catalog`` for API schemas and their
 slots, ``dialogue_from_obj`` for dialogues and their turns

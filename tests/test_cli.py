@@ -1024,6 +1024,26 @@ def test_reject_sample_output_bytes_are_pinned(in_flight, tmp_path):
     assert digests == _PINNED_SHA256
 
 
+def test_mean_kept_reward_is_the_same_on_every_python(tmp_path):
+    """Kept rewards 1.0, 1/3 and 1/3 (two slots missing): a plain ``sum()``
+    writes ...557 before Python 3.12 and ...556 after, ``math.fsum`` ...556 on all."""
+    gold = {"a": "apple", "b": "banana", "c": "cherry"}
+    slots = [{"name": name, "kind": "free-text", "description": f"slot {name}"} for name in gold]
+    (tmp_path / "catalog.json").write_text(json.dumps([{"api_name": "three", "description": "Three slots.",
+                                                        "slots": slots}]), encoding="utf-8")
+    _write_jsonl(tmp_path / "dialogues.jsonl", [{"id": "d1", "domain": "demo", "target_api": "three",
+                                                 "turns": [{"speaker": "user", "utterance": "apple, banana, cherry"}],
+                                                 "gold_arguments": gold}])
+    (tmp_path / "sample.script").write_text(jsonl([json.dumps(m) for m in (gold, {"a": "apple"}, {"b": "banana"})]),
+                                            encoding="utf-8")
+    argv = ["reject-sample", *_common(tmp_path), "--backend", f"mock:{tmp_path / 'sample.script'}", "--k", "3",
+            "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "out.jsonl.stats.json").read_bytes() == (
+        b'{\n  "generated": 3,\n  "parse_failed": 0,\n  "rejected": 0,\n  "deduplicated": 0,\n  "kept": 3,\n'
+        b'  "skipped_dialogues": 0,\n  "mean_kept_reward": 0.5555555555555556\n}\n')
+
+
 # The artifacts of every other command that writes an argument map, over the same inputs.
 _PINNED_MAP_SHA256 = {
     "sft.jsonl": "637cf1d243c66d4b9428f810bd71ccb6eb6ad9d1095f2680c08cda2e8988943b",

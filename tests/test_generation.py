@@ -266,12 +266,14 @@ def _run_set_up(tmp_path, code: str) -> str:
 
 
 def test_setup_imports_no_http_client(tmp_path):
-    """Building a backend leaves the HTTP stack unimported, so set-up does not pay for it."""
+    """Building a backend leaves the HTTP stack unimported, so set-up does not pay for it,
+    and the store keys by the request itself: set-up loads no hash library before the CLI does."""
     code = (
+        "print('hashlib' in sys.modules)\n"
         "import arground.cli\n"
         "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'requests') if m in sys.modules))\n"
     )
-    assert _run_set_up(tmp_path, code) == "[]"
+    assert _run_set_up(tmp_path, code).splitlines() == ["False", "[]"]
 
 
 def test_setup_imports_only_the_modules_it_runs(tmp_path):

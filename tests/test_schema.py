@@ -2,6 +2,7 @@ import io
 import json
 import string
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -85,6 +86,11 @@ class TestCanonicalizeValue:
     def test_idempotent(self, raw):
         once = canonicalize_value(raw)
         assert canonicalize_value(once) == once
+
+    def test_follows_the_interpreters_unicode_tables(self):
+        # U+2C2F was assigned in Unicode 14.0.0, which Python 3.11 ships; 3.10 ships 13.0.0
+        expected = "\u2c5f" if tuple(map(int, unicodedata.unidata_version.split("."))) >= (14, 0, 0) else "\u2c2f"
+        assert canonicalize_value("\u2c2f") == expected
 
 
 # Every whitespace code point, the key separators, ASCII letters, and two

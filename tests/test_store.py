@@ -95,6 +95,28 @@ def test_log_without_stop_field_keys_like_empty_stop(tmp_path):
     assert open_replay(log).generate(_request()).outputs == ("x",)
 
 
+def test_the_tag_is_no_part_of_the_key(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text(_log_entry(["first"], tag="a") + _log_entry(["second"], tag="b")
+                   + _log_entry(["one"], prompt="r", n_samples=2), encoding="utf-8")
+    replay = open_replay(log)
+    # a request tagged "b" is served the record logged first, under "a"
+    record = replay.generate(GenerationRequest(prompt="p", tag="b"))
+    assert (record.outputs, record.request.tag) == (("first",), "b")
+    with pytest.raises(ReplayMiss, match=r"^no recorded response for request \(tag='c'\)$"):
+        replay.generate(GenerationRequest(prompt="q", tag="c"))
+    with pytest.raises(ReplayMiss, match=r"^recorded response for request \(tag='c'\) has 1 outputs, 2 requested$"):
+        replay.generate(GenerationRequest(prompt="r", n_samples=2, tag="c"))
+
+
+@pytest.mark.parametrize("logged, asked", [(0.0, -0.0), (1.0, 1)])
+def test_a_temperature_equal_as_a_number_hits(logged, asked, tmp_path):
+    """The key compares numbers, so -0.0 meets 0.0 and 1 meets 1.0."""
+    log = tmp_path / "log.jsonl"
+    log.write_text(_log_entry(["x"], temperature=logged), encoding="utf-8")
+    assert open_replay(log).generate(GenerationRequest(prompt="p", temperature=asked)).outputs == ("x",)
+
+
 @pytest.mark.parametrize("outputs", [[5], "abc"])
 def test_outputs_that_are_not_strings_are_log_corrupt(outputs, tmp_path):
     log = tmp_path / "log.jsonl"
