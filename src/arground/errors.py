@@ -21,10 +21,6 @@ class UsageError(ArgroundError):
 
 # --- schema / dataset ------------------------------------------------------
 
-class InvalidKey(ArgroundError):
-    """A key canonicalizes to the empty string."""
-
-
 class InvalidArgumentMap(ArgroundError):
     """Outside data does not form an argument map (see schema.argument_map_from_obj)."""
 

@@ -26,8 +26,9 @@ The relaxed region is the first ``{`` whose quote-aware forward scan closes.
 On normal output the scan from the first ``{`` closes, and it moves by
 compiled-regex jumps to the next brace, quote or backslash. Only when that
 scan reaches the end with the brace still open (degenerate output such as
-``{ 'a`` repeated) does one backward pass over the rest of the text pick the
-first later ``{`` that closes, instead of rescanning from every ``{``. The
+``{ 'a`` repeated) does one backward pass from the last ``}`` pick the first
+later ``{`` that closes, instead of rescanning from every ``{``. A reply cut
+off with no ``}`` after its first ``{`` has no region and is not scanned. The
 body scan copies whole runs of quoted text between quotes and backslashes.
 """
 
@@ -37,7 +38,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidKey, MalformedArguments, NoArgumentObject
+from .errors import MalformedArguments, NoArgumentObject
 from .schema import ArgumentMap, canonicalize_key, canonicalize_value, has_surrogate
 
 WARN_CODE_FENCE = "stripped code fence"
@@ -70,19 +71,6 @@ class ParseOutcome:
 
     map: ArgumentMap
     warnings: tuple[str, ...] = ()
-
-
-class _Warnings:
-    """Ordered, de-duplicated repair labels."""
-
-    def __init__(self):
-        self._seen: dict[str, None] = {}
-
-    def add(self, label: str) -> None:
-        self._seen.setdefault(label, None)
-
-    def as_tuple(self) -> tuple[str, ...]:
-        return tuple(self._seen)
 
 
 # Outside a quote only braces and quote characters matter; inside one, only
@@ -150,11 +138,12 @@ def _first_closing_open(text: str, after: int) -> int | None:
     quote, or an escape pending in either (ed, es). Walking right to left,
     each variable holds, for the text from the current position on, the
     minimum depth change over its prefixes when the scan enters there in that
-    state. A scan from '{' at i closes when t at i + 1 is at most -1.
+    state. A scan from '{' at i closes when t at i + 1 is at most -1. The pass
+    starts at the last '}': past it the depth never falls, so every minimum is 0.
     """
     t = o = d = s = ed = es = 0
     found = None
-    for i in range(len(text) - 1, after, -1):
+    for i in range(text.rfind("}"), after, -1):
         ch = text[i]
         if ch == "{":
             if t < 0:
@@ -184,7 +173,7 @@ def _first_closing_open(text: str, after: int) -> int | None:
 def _first_balanced_region(text: str) -> tuple[int, int] | None:
     """Span (open, close) of the first '{' whose quote-aware scan balances."""
     start = text.find("{")
-    if start == -1:
+    if start == -1 or text.rfind("}") < start:
         return None
     close = _close_of(text, start)
     if close is None:
@@ -206,7 +195,7 @@ def _escaped_code(text: str, at: int) -> int | None:
     return code if code >= 0 else None
 
 
-def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str | None]]:
+def _parse_object_body(inner: str, warnings: dict[str, None]) -> list[tuple[str, str | None]]:
     """Parse the text between the outer braces into raw (key, value) pairs.
 
     A value of None marks a null/none literal. Raises MalformedArguments
@@ -241,7 +230,7 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
             if inner[at] == quote:
                 pos += 1
                 if quote == "'":
-                    warnings.add(WARN_SINGLE_QUOTES)
+                    warnings[WARN_SINGLE_QUOTES] = None
                 return "".join(buf)
             if pos + 1 >= n:
                 fail("unterminated escape")
@@ -273,7 +262,7 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
             key = inner[pos:colon].strip()
             if not key:
                 fail("empty key")
-            warnings.add(WARN_BARE_WORD)
+            warnings[WARN_BARE_WORD] = None
             pos = colon
         skip_ws()
         if pos >= n or inner[pos] != ":":
@@ -298,7 +287,7 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
             if token.lower() in _NULL_TOKENS:
                 value = None
             else:
-                warnings.add(WARN_BARE_WORD)
+                warnings[WARN_BARE_WORD] = None
                 value = token
         pairs.append((key, value))
         if has_surrogate(key) or (value is not None and has_surrogate(value)):
@@ -311,7 +300,7 @@ def _parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str |
         pos += 1
         skip_ws()
         if pos >= n:
-            warnings.add(WARN_TRAILING_COMMA)
+            warnings[WARN_TRAILING_COMMA] = None
             break
     return pairs
 
@@ -362,7 +351,7 @@ def extract_argument_map(raw: str) -> ParseOutcome:
     a surrogate in a key or value, no object at all) goes to the relaxed
     parser, which alone raises. Both paths yield the same map and warnings.
     """
-    warnings = _Warnings()
+    warnings: dict[str, None] = {}  # repair labels, each once, in the order first applied
     open_at = raw.find("{")
     strict = _strict_object(raw, open_at) if open_at != -1 else None
     if strict is None:
@@ -373,30 +362,25 @@ def extract_argument_map(raw: str) -> ParseOutcome:
     else:
         raw_pairs, close_at, bare = strict
     if "```" in raw[:open_at] or "```" in raw[close_at + 1 :]:
-        warnings.add(WARN_CODE_FENCE)
+        warnings[WARN_CODE_FENCE] = None
     if strict is None:
         raw_pairs = _parse_object_body(raw[open_at + 1 : close_at], warnings)
     elif bare:
-        warnings.add(WARN_BARE_WORD)
+        warnings[WARN_BARE_WORD] = None
 
     entries: ArgumentMap = {}
     for raw_key, raw_value in raw_pairs:
         if raw_value is None:
-            warnings.add(WARN_NULL_VALUE)
+            warnings[WARN_NULL_VALUE] = None
             continue
-        try:
-            key = canonicalize_key(raw_key)
-        except InvalidKey:
-            warnings.add(WARN_EMPTY_KEY)
-            continue
-        value = canonicalize_value(raw_value)
-        if not value:
-            warnings.add(WARN_EMPTY_VALUE)
+        key, value = canonicalize_key(raw_key), canonicalize_value(raw_value)
+        if not key or not value:
+            warnings[WARN_EMPTY_VALUE if key else WARN_EMPTY_KEY] = None
             continue
         if key in entries:
-            warnings.add(WARN_DUPLICATE_KEY)
+            warnings[WARN_DUPLICATE_KEY] = None
         entries[key] = value
-    return ParseOutcome(entries, warnings.as_tuple())
+    return ParseOutcome(entries, tuple(warnings))
 
 
 # The encoder json.dumps(..., ensure_ascii=False) would build on every call.

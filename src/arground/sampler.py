@@ -2,10 +2,10 @@
 
 Phase one: one gold example per dialogue (default prompt, gold arguments
 serialized in schema order, reward 1.0). Phase two: sample K candidates
-per prompt, score each with the error classifier, keep only candidates
-with strictly positive reward, de-duplicate within a dialogue, and emit
-gold plus kept samples as the augmented dataset. Gold examples are never
-dropped or modified.
+per prompt, score each distinct candidate map of a dialogue once with the
+error classifier, keep only candidates with strictly positive reward,
+de-duplicate within a dialogue, and emit gold plus kept samples as the
+augmented dataset. Gold examples are never dropped or modified.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def rejection_sample(
             continue
         schema = catalog[dialogue.target_api]
         kept: list[TrainingExample] = []
-        seen: set[tuple[tuple[str, str], ...]] = set()
+        rewards: dict[tuple[tuple[str, str], ...], float] = {}  # by the map's sorted items
         for output in record.outputs:
             stats.generated += 1
             try:
@@ -119,21 +119,23 @@ def rejection_sample(
             except (NoArgumentObject, MalformedArguments):
                 stats.parse_failed += 1
                 continue
-            breakdown = classify_errors(candidate, dialogue.gold_arguments, schema)
-            if breakdown.reward <= 0.0:
+            dedup_key = tuple(sorted(candidate.items()))
+            repeat = dedup_key in rewards
+            if not repeat:
+                rewards[dedup_key] = classify_errors(candidate, dialogue.gold_arguments, schema).reward
+            reward = rewards[dedup_key]
+            if reward <= 0.0:
                 stats.rejected += 1
                 continue
-            dedup_key = tuple(sorted(candidate.items()))
-            if dedup_key in seen:
+            if repeat:
                 stats.deduplicated += 1
                 continue
-            seen.add(dedup_key)
             kept.append(
                 TrainingExample(
                     prompt=record.request.prompt,
                     completion=serialize_argument_map(candidate, "given"),
                     source="sampled",
-                    reward=breakdown.reward,
+                    reward=reward,
                     dialogue_id=dialogue.id,
                 )
             )

@@ -8,6 +8,7 @@ about casing or whitespace again. A canonical value is the text lowercased,
 its leading and trailing whitespace dropped and each inner run of whitespace
 made one space; a canonical key is the same, but each inner run of whitespace
 and hyphens becomes one ``_``. Whitespace is what ``str.isspace`` says it is.
+Blank text gives ``""``, as a key or a value alike, and each caller checks.
 Both follow the running interpreter's Unicode tables (Python 3.10: 13.0.0,
 3.11: 14.0.0, 3.12: 15.0.0, 3.13: 15.1.0), so identical inputs give
 byte-identical output across versions only when every character was
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DatasetInvalid, InvalidArgumentMap, InvalidKey, ParseError, SchemaInvalid
+from .errors import DatasetInvalid, InvalidArgumentMap, ParseError, SchemaInvalid
 from .fuzzy import values_match
 
 SLOT_KINDS = ("free-text", "integer", "boolean", "categorical", "date", "time")
@@ -74,15 +75,12 @@ def has_surrogate(text: str) -> bool:
 def canonicalize_key(raw: str) -> str:
     """Lowercase, trim, and join whitespace/hyphen runs with '_'. Idempotent.
 
-    Lowercasing never makes or removes whitespace or a hyphen, so text
-    without a hyphen is split on whitespace alone."""
+    Returns ``""`` for blank text, as ``canonicalize_value`` does; the caller
+    checks for it. Lowercasing never makes or removes whitespace or a hyphen,
+    so text without a hyphen is split on whitespace alone."""
     if "-" in raw:
-        out = _KEY_SEPARATORS.sub("_", raw.strip().lower())
-    else:
-        out = "_".join(raw.lower().split())
-    if not out:
-        raise InvalidKey(f"key {raw!r} is empty after canonicalization")
-    return out
+        return _KEY_SEPARATORS.sub("_", raw.strip().lower())
+    return "_".join(raw.lower().split())
 
 
 def canonicalize_value(raw: str) -> str:
@@ -203,10 +201,9 @@ def argument_map_from_obj(mapping) -> ArgumentMap:
     for raw_key, raw_value in mapping.items():
         if raw_value is None or isinstance(raw_value, (dict, list)):
             raise InvalidArgumentMap(f"value of key {raw_key!r} must be a string, number or boolean")
-        try:
-            key = canonicalize_key(str(raw_key))
-        except InvalidKey as exc:
-            raise InvalidArgumentMap(str(exc)) from exc
+        key = canonicalize_key(str(raw_key))
+        if not key:
+            raise InvalidArgumentMap(f"key {raw_key!r} is empty after canonicalization")
         value = canonicalize_value(str(raw_value))
         if not value:
             raise InvalidArgumentMap(f"empty value for key '{key}'")
@@ -285,13 +282,6 @@ def read_jsonl(source, name: str) -> Iterator[tuple[str, dict]]:
 
 # --- catalog records ----------------------------------------------------------
 
-def _schema_key(raw: str) -> str:
-    try:
-        return canonicalize_key(raw)
-    except InvalidKey as exc:
-        raise SchemaInvalid(str(exc)) from exc
-
-
 def _slot_from_obj(slot: dict, where: str) -> SlotSpec:
     name, kind, description = slot["name"], slot["kind"], slot.get("description", "")
     if not all(isinstance(v, str) for v in (name, kind, description)):
@@ -303,7 +293,10 @@ def _slot_from_obj(slot: dict, where: str) -> SlotSpec:
     required = slot.get("required", True)
     if not isinstance(required, bool):
         raise SchemaInvalid(f"{where}: required must be true or false")
-    name, kind = _schema_key(name), normalize_kind(kind)
+    name = canonicalize_key(name)
+    if not name:
+        raise SchemaInvalid(f"{where} has an empty name")
+    kind = normalize_kind(kind)
     if allowed is not None:
         allowed = tuple(canonicalize_value(v) for v in allowed)
     if kind == "categorical":
@@ -332,7 +325,9 @@ def _schema_from_obj(obj: dict) -> ApiSchema:
         slots = tuple(_slot_from_obj(s, where) for s in raw_slots)
     except KeyError as exc:
         raise SchemaInvalid(f"catalog entry missing field {exc}") from exc
-    api_name = _schema_key(api_name)
+    api_name = canonicalize_key(api_name)
+    if not api_name:
+        raise SchemaInvalid(f"{where} has an empty api_name")
     if not slots:
         raise SchemaInvalid(f"schema '{api_name}' has no slots")
     if len({s.name for s in slots}) != len(slots):
@@ -405,10 +400,9 @@ def dialogue_from_obj(obj: dict) -> Dialogue:
     domain = canonicalize_value(domain)
     if not domain:
         raise DatasetInvalid(f"dialogue '{ident}' has an empty domain")
-    try:
-        target_api = canonicalize_key(target_api)
-    except InvalidKey as exc:
-        raise DatasetInvalid(f"dialogue '{ident}': {exc}") from exc
+    target_api = canonicalize_key(target_api)
+    if not target_api:
+        raise DatasetInvalid(f"dialogue '{ident}' has an empty target_api")
     if not turns:
         raise DatasetInvalid(f"dialogue '{ident}' has no turns")
     return Dialogue(ident, domain, target_api, turns, gold)

@@ -17,7 +17,7 @@ import math
 import re
 from collections import Counter
 
-from arground.errors import InvalidKey, MalformedArguments, NoArgumentObject
+from arground.errors import MalformedArguments, NoArgumentObject
 from arground.parsing import (
     _ESCAPES,
     _NULL_TOKENS,
@@ -30,7 +30,6 @@ from arground.parsing import (
     WARN_SINGLE_QUOTES,
     WARN_TRAILING_COMMA,
     ParseOutcome,
-    _Warnings,
 )
 from arground.schema import ArgumentMap
 
@@ -42,11 +41,9 @@ _REF_VALUE_SPACES = re.compile(r"\s+")
 
 
 def ref_canonicalize_key(raw: str) -> str:
-    """Lowercase, trim, and join whitespace/hyphen runs with '_'. Idempotent."""
-    out = _REF_KEY_SEPARATORS.sub("_", raw.strip().lower())
-    if not out:
-        raise InvalidKey(f"key {raw!r} is empty after canonicalization")
-    return out
+    """Lowercase, trim, and join whitespace/hyphen runs with '_'; "" when
+    nothing is left. Idempotent."""
+    return _REF_KEY_SEPARATORS.sub("_", raw.strip().lower())
 
 
 def ref_canonicalize_value(raw: str) -> str:
@@ -251,9 +248,10 @@ def ref_corpus_bleu(hyp_token_lists, ref_token_lists) -> float:
 # The parser and serializer as they were before the linear-time rewrite, kept
 # verbatim: a quote-aware forward scan restarted from every '{' (quadratic on
 # text that never closes a brace), a character-at-a-time body scan, and two
-# json.dumps calls per entry. Only the names changed, and one rule was added
-# since: a high and a low surrogate escape in a row decode to one code point, as
-# in json, and a key or value that still holds a surrogate is malformed.
+# json.dumps calls per entry. Only the names changed, the repair labels are
+# kept in a plain dict, and one rule was added since: a high and a low
+# surrogate escape in a row decode to one code point, as in json, and a key or
+# value that still holds a surrogate is malformed.
 
 def ref_first_balanced_region(text: str) -> tuple[int, int] | None:
     """Span (open, close) of the first balanced brace region, quote-aware.
@@ -307,7 +305,7 @@ def _ref_holds_surrogate(text: str) -> bool:
     return False
 
 
-def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, str | None]]:
+def ref_parse_object_body(inner: str, warnings: dict[str, None]) -> list[tuple[str, str | None]]:
     """Parse the text between the outer braces into raw (key, value) pairs.
 
     A value of None marks a null/none literal. Raises MalformedArguments
@@ -361,7 +359,7 @@ def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, st
             if ch == quote:
                 pos += 1
                 if quote == "'":
-                    warnings.add(WARN_SINGLE_QUOTES)
+                    warnings.setdefault(WARN_SINGLE_QUOTES)
                 return "".join(buf)
             buf.append(ch)
             pos += 1
@@ -382,7 +380,7 @@ def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, st
             key = inner[pos:colon].strip()
             if not key:
                 fail("empty key")
-            warnings.add(WARN_BARE_WORD)
+            warnings.setdefault(WARN_BARE_WORD)
             pos = colon
         skip_ws()
         if pos >= n or inner[pos] != ":":
@@ -407,7 +405,7 @@ def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, st
             if token.lower() in _NULL_TOKENS:
                 value = None
             else:
-                warnings.add(WARN_BARE_WORD)
+                warnings.setdefault(WARN_BARE_WORD)
                 value = token
         pairs.append((key, value))
         if _ref_holds_surrogate(key) or (value is not None and _ref_holds_surrogate(value)):
@@ -420,41 +418,40 @@ def ref_parse_object_body(inner: str, warnings: _Warnings) -> list[tuple[str, st
         pos += 1
         skip_ws()
         if pos >= n:
-            warnings.add(WARN_TRAILING_COMMA)
+            warnings.setdefault(WARN_TRAILING_COMMA)
             break
     return pairs
 
 
 def ref_extract_argument_map(raw: str) -> ParseOutcome:
     """Locate and parse the first balanced brace region in raw model output."""
-    warnings = _Warnings()
+    warnings: dict[str, None] = {}
     region = ref_first_balanced_region(raw)
     if region is None:
         raise NoArgumentObject("no balanced argument object in output")
     open_at, close_at = region
     if "```" in raw[:open_at] or "```" in raw[close_at + 1 :]:
-        warnings.add(WARN_CODE_FENCE)
+        warnings.setdefault(WARN_CODE_FENCE)
     inner = raw[open_at + 1 : close_at]
     raw_pairs = ref_parse_object_body(inner, warnings)
 
     entries: dict[str, str] = {}
     for raw_key, raw_value in raw_pairs:
         if raw_value is None:
-            warnings.add(WARN_NULL_VALUE)
+            warnings.setdefault(WARN_NULL_VALUE)
             continue
-        try:
-            key = ref_canonicalize_key(raw_key)
-        except InvalidKey:
-            warnings.add(WARN_EMPTY_KEY)
+        key = ref_canonicalize_key(raw_key)
+        if not key:
+            warnings.setdefault(WARN_EMPTY_KEY)
             continue
         value = ref_canonicalize_value(raw_value)
         if not value:
-            warnings.add(WARN_EMPTY_VALUE)
+            warnings.setdefault(WARN_EMPTY_VALUE)
             continue
         if key in entries:
-            warnings.add(WARN_DUPLICATE_KEY)
+            warnings.setdefault(WARN_DUPLICATE_KEY)
         entries[key] = value
-    return ParseOutcome(entries, warnings.as_tuple())
+    return ParseOutcome(entries, tuple(warnings))
 
 
 def ref_serialize(amap: ArgumentMap, order: str = "given") -> str:

@@ -598,7 +598,7 @@ def test_a_blank_gold_key_is_data_error_naming_its_dialogue(tmp_path, hair_catal
     _write_jsonl(tmp_path / "dialogues.jsonl", [{**_GOOD_RECORD, "gold_arguments": {" ": "john"}}])
     argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
     assert main(argv) == EXIT_DATA
-    assert "dialogue 'd0'" in capsys.readouterr().err
+    assert "dialogue 'd0': gold_arguments: key ' ' is empty after canonicalization" in capsys.readouterr().err
 
 
 class _Recording(GenerationBackend):
@@ -736,6 +736,28 @@ def test_malformed_catalog_entry_is_data_error(entry, tmp_path, hair_catalog, ca
     argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
     assert main(argv) == EXIT_DATA
     assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("catalog.json", json.dumps([_catalog_entry(api_name="  ")]), "catalog entry '  ' has an empty api_name"),
+        ("catalog.json", json.dumps([_catalog_entry(slot={"name": "  "})]),
+         "catalog entry 'hair_appointment', slot '  ' has an empty name"),
+        ("dialogues.jsonl", jsonl([{**_GOOD_RECORD, "target_api": "  "}]),
+         "dataset line 1: dialogue 'd0' has an empty target_api"),
+    ],
+    ids=["api-name", "slot-name", "target-api"],
+)
+def test_a_blank_name_in_a_catalog_or_dataset_is_data_error_naming_its_field(
+    name, content, message, tmp_path, hair_catalog, capsys
+):
+    _fixture_files(tmp_path, hair_catalog)
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    argv, *_ = SUBCOMMANDS["export-sft"](tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert f"data error: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
 
 

@@ -544,6 +544,21 @@ def test_mock_rejection_sample_is_deterministic_at_the_default_in_flight(hair_ca
     assert runs == [serial] * 3
 
 
+def test_rejection_sample_scores_each_distinct_map_once_per_dialogue(hair_catalog, monkeypatch):
+    dialogues = [make_dialogue(f"d{i}", "salon", "hair_appointment", {"name": f"person {i}"}) for i in range(2)]
+    classify, calls = sampler.classify_errors, []
+    monkeypatch.setattr(sampler, "classify_errors", lambda *args: calls.append(args) or classify(*args))
+    # per dialogue: a kept map and a rejected one, each repeated in another form, then the kept one again
+    script = [o for i in range(2) for o in (f'{{"name": "person {i}"}}', '{"name": "nobody"}',
+                                            f"{{'NAME': 'Person {i}'}}", '{"name": "nobody",}',
+                                            f'{{"name": "person {i}"}}')]
+    augmented, stats = rejection_sample(MockBackend(script), dialogues, hair_catalog, SamplerConfig(k=5))
+    assert len(calls) == 4  # two distinct maps in each dialogue
+    assert (stats.generated, stats.kept, stats.rejected, stats.deduplicated) == (10, 2, 4, 4)
+    assert [e.completion for e in augmented if e.source == "sampled"] == ['{"name": "person 0"}',
+                                                                         '{"name": "person 1"}']
+
+
 def test_rejection_sample_builds_each_default_prompt_once(hair_catalog, monkeypatch):
     dialogues = [make_dialogue(f"d{i}", "salon", "hair_appointment", {"name": f"person {i}"}) for i in range(5)]
     build, calls = prompting.build_default_prompt, []

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arground import parsing
-from arground.errors import InvalidKey, MalformedArguments, NoArgumentObject
+from arground.errors import MalformedArguments, NoArgumentObject
 from arground.parsing import (
     WARN_BARE_WORD,
     WARN_CODE_FENCE,
@@ -138,13 +138,7 @@ def test_fixture_corpus():
 
 
 def _canonical_keys():
-    def to_key(raw):
-        try:
-            return canonicalize_key(raw)
-        except InvalidKey:
-            return None
-
-    return st.text(min_size=1, max_size=12).map(to_key).filter(lambda k: k is not None)
+    return st.text(min_size=1, max_size=12).map(canonicalize_key).filter(bool)
 
 
 def _canonical_values():
@@ -239,12 +233,21 @@ def test_region_and_outcome_agree_with_oracle_on_tokens(tokens):
 
 
 def test_fixture_corpus_agrees_with_oracle():
+    """Every prefix of every fixture, so each reply cut off mid-object (as at
+    ``max_tokens``) is covered too."""
     txt_files = sorted(FIXTURE_DIR.glob("*.txt"))
     assert len(txt_files) == 28
     for txt in txt_files:
-        raw = txt.read_text(encoding="utf-8")
-        assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw), txt.name
-        assert _outcome(extract_argument_map, raw) == _outcome(ref_extract_argument_map, raw), txt.name
+        text = txt.read_text(encoding="utf-8")
+        for raw in (text[:end] for end in range(len(text) + 1)):
+            assert parsing._first_balanced_region(raw) == ref_first_balanced_region(raw), (txt.name, raw)
+            assert _outcome(extract_argument_map, raw) == _outcome(ref_extract_argument_map, raw), (txt.name, raw)
+
+
+def test_a_reply_cut_off_mid_object_takes_no_backward_pass(monkeypatch):
+    monkeypatch.setattr(parsing, "_first_closing_open", lambda *args: pytest.fail("backward pass over text with no '}'"))
+    with pytest.raises(NoArgumentObject):
+        extract_argument_map("{ 'a" * 250)
 
 
 @given(argument_maps())
