@@ -1,3 +1,4 @@
+import base64
 import json
 import logging
 import os
@@ -237,6 +238,201 @@ def test_the_request_carries_the_payload_and_headers(flaky_stub, stop):
     assert payload == expected
     assert headers["Content-Type"] == "application/json"
     assert headers["Authorization"] == "Bearer test-key"
+    assert headers["User-Agent"] == f"arground/{arground.__version__}"
+
+
+# --- HttpBackend: kept-alive connections --------------------------------------
+
+class _KeepAlive(BaseHTTPRequestHandler):
+    """An HTTP/1.1 server that keeps each connection open and answers every
+    POST with a completion, writing its headers and its body in two sends as
+    ``bench/stub_llm.py`` does. It counts connections and requests. A reply
+    first waits the next of ``delays`` seconds, if any are left; with
+    ``hang_up`` the server closes each connection after its reply without a
+    ``Connection: close`` header."""
+
+    protocol_version = "HTTP/1.1"
+    lock = threading.Lock()
+    connections = requests = 0
+    delays: list[float] = []
+    hang_up = False
+
+    def setup(self):
+        super().setup()
+        with self.lock:
+            type(self).connections += 1
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        stub = type(self)
+        with stub.lock:
+            stub.requests += 1
+            delay = stub.delays.pop(0) if stub.delays else 0
+        if delay:
+            time.sleep(delay)
+        body = json.dumps({"choices": [{"message": {"content": '{"name": "john"}'}}] * payload["n"]}).encode()
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:  # the client timed out and hung up
+            self.close_connection = True
+        self.close_connection = self.close_connection or stub.hang_up
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keep_alive(monkeypatch):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAlive)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _KeepAlive.connections = _KeepAlive.requests = 0
+    _KeepAlive.delays, _KeepAlive.hang_up = [], False
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    yield server.server_address[1]
+    server.shutdown()
+    server.server_close()
+
+
+def _generate_each(backend, count):
+    """``count`` sequential requests on ``backend``, which is closed afterwards; their outputs."""
+    try:
+        return [backend.generate(GenerationRequest(prompt="fill the form")).outputs for _ in range(count)]
+    finally:
+        backend.close()
+
+
+def test_sequential_requests_share_one_connection(keep_alive):
+    assert _generate_each(_backend(keep_alive), 10) == [('{"name": "john"}',)] * 10
+    assert (_KeepAlive.requests, _KeepAlive.connections) == (10, 1)
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="the platform has no TCP_QUICKACK")
+def test_a_reply_sent_in_two_writes_does_not_wait_for_a_delayed_ack(keep_alive, monkeypatch):
+    def ten_requests() -> float:
+        start = time.perf_counter()
+        _generate_each(_backend(keep_alive), 10)
+        return time.perf_counter() - start
+
+    assert ten_requests() < 0.3
+    monkeypatch.delattr(socket, "TCP_QUICKACK")
+    # Without the guard, each reply after the first waits at least 40 ms for the ACK of its headers.
+    assert ten_requests() >= 0.35
+    assert (_KeepAlive.requests, _KeepAlive.connections) == (20, 2)
+
+
+def test_a_connection_the_server_closed_while_idle_is_replaced_without_a_retry(keep_alive, monkeypatch, caplog):
+    sleeps = []
+    monkeypatch.setattr(generation.time, "sleep", sleeps.append)
+    _KeepAlive.hang_up = True
+    with caplog.at_level(logging.WARNING, logger="arground.generation"):
+        assert _generate_each(_backend(keep_alive), 2) == [('{"name": "john"}',)] * 2
+    assert (_KeepAlive.requests, _KeepAlive.connections) == (2, 2)
+    assert _retry_messages(caplog) == [] and sleeps == []
+
+
+def test_a_reply_slower_than_the_timeout_on_a_reused_connection_is_one_retry(keep_alive, caplog):
+    _KeepAlive.delays = [0, 0.5]
+    with caplog.at_level(logging.WARNING, logger="arground.generation"):
+        assert _generate_each(_backend(keep_alive, timeout=0.2), 2) == [('{"name": "john"}',)] * 2
+    (message,) = _retry_messages(caplog)
+    assert message.startswith("retrying after connection error: ")
+    assert (_KeepAlive.requests, _KeepAlive.connections) == (3, 2)
+
+
+def test_fill_opens_no_more_connections_than_requests_in_flight(keep_alive, tmp_path, monkeypatch):
+    argv = _http_argv("fill", keep_alive, tmp_path, monkeypatch)
+    argv[argv.index("--backend") + 1] = "http:stub"
+    argv[argv.index("--in-flight") + 1] = "2"
+    assert main([*argv, "--mode", "multistep"]) == EXIT_OK
+    assert _KeepAlive.requests == 9 and _KeepAlive.connections <= 2
+
+
+@pytest.mark.parametrize("store", [False, True], ids=["http", "record"])
+def test_generate_all_leaves_the_backend_no_idle_connection(keep_alive, tmp_path, store):
+    backend = _backend(keep_alive)
+    dispatched = open_replay(tmp_path / "log.jsonl", backend) if store else backend
+    results = generate_all(dispatched, [_tagged("a", "b", "c"), _tagged("d")], in_flight=2)
+    assert [r.outputs for group in results for r in group] == [('{"name": "john"}',)] * 4
+    assert backend._idle == [] and _KeepAlive.connections <= 2
+
+
+# --- HttpBackend: environment proxies -----------------------------------------
+
+class _Proxy(BaseHTTPRequestHandler):
+    """A recording proxy: keeps each request's method, target and headers,
+    answers a POST with a completion and refuses every CONNECT."""
+
+    received: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).received.append((self.command, self.path, self.headers))
+        body = json.dumps({"choices": [{"message": {"content": "{}"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_CONNECT(self):
+        type(self).received.append((self.command, self.path, self.headers))
+        self.send_response(403)
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    """The recording proxy's host:port, with every proxy variable cleared from the environment."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+            monkeypatch.delenv(name)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Proxy)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _Proxy.received = []
+    yield f"127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
+def _basic(credentials: str) -> str:
+    return "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+
+
+def test_an_http_base_goes_through_the_proxy_with_an_absolute_url(proxy, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", f"http://user:p%40ss@{proxy}")
+    backend = HttpBackend(base_url="http://api.example:8000/v1", api_key="test-key", model="stub", retries=0)
+    assert _generate_each(backend, 1) == [("{}",)]
+    ((method, target, headers),) = _Proxy.received
+    assert (method, target) == ("POST", "http://api.example:8000/v1/chat/completions")
+    assert headers["Host"] == "api.example:8000"
+    assert headers["Proxy-Authorization"] == _basic("user:p@ss")
+
+
+def test_an_https_base_is_tunnelled_so_the_key_never_reaches_the_proxy(proxy, monkeypatch):
+    monkeypatch.setenv("HTTPS_PROXY", f"http://user:secret@{proxy}")
+    backend = HttpBackend(base_url="https://api.example/v1", api_key="test-key", model="stub", retries=0)
+    with pytest.raises(BackendError, match="connection error: Tunnel connection failed: 403"):
+        _generate_each(backend, 1)
+    ((method, target, headers),) = _Proxy.received
+    assert (method, target) == ("CONNECT", "api.example:443")
+    assert "Authorization" not in headers and "test-key" not in str(headers)
+    assert headers["Proxy-Authorization"] == _basic("user:secret")
+
+
+def test_a_no_proxy_host_goes_direct(proxy, flaky_stub, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", f"http://{proxy}")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    _FlakyStub.statuses = [200]
+    assert _generate_each(_backend(flaky_stub), 1) == [('{"name": "john"}',)]
+    assert _FlakyStub.requests == 1 and _Proxy.received == []
 
 
 def _run_set_up(tmp_path, code: str) -> str:
