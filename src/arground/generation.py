@@ -32,8 +32,10 @@ holding a lone surrogate, which has no UTF-8 form, is stored like any other.
 
 ``generate_all`` is the only dispatch path: every command hands it all of
 its requests at once and gets back, in the order given, each request's
-record or the ``BackendError`` it raised. It then closes the backend, so no
-connection outlives the command.
+record or the ``BackendError`` it raised. The caller's thread is one of its
+workers, beside up to ``in_flight - 1`` helper threads; any other exception
+stops every worker before its next request and is raised once every helper
+is joined. It then closes the backend, so no connection outlives the command.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -59,7 +60,7 @@ DEFAULT_TIMEOUT = 60.0
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = 0.5
 DEFAULT_IN_FLIGHT = 4
-MAX_IN_FLIGHT = 1024  # generate_all may start this many threads
+MAX_IN_FLIGHT = 1024  # generate_all may start in_flight - 1 helper threads
 MAX_RETRY_AFTER_S = 30.0
 
 ENV_API_KEY = "ARGROUND_API_KEY"
@@ -209,8 +210,9 @@ class HttpBackend(GenerationBackend):
     """Chat-completion client: POST {base}/chat/completions.
 
     Reads ARGROUND_API_KEY / ARGROUND_BASE_URL / ARGROUND_MODEL, the last unless
-    ``model`` is given, and refuses a base URL that is not ASCII http(s), a key
-    that is not printable ASCII or a model not in UTF-8, before any request.
+    ``model`` is given, and refuses a base URL that is not ASCII http(s) or
+    whose port is not a number in 0-65535, a key that is not printable ASCII
+    or a model not in UTF-8, before any request.
     Transient failures (connection errors, 429, 5xx) are retried with
     exponential backoff, or after a 429's or 503's numeric ``Retry-After``
     capped at ``MAX_RETRY_AFTER_S``; auth failures are not retried.
@@ -254,6 +256,10 @@ class HttpBackend(GenerationBackend):
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname or not url.isascii():
             raise BackendError(f"base URL {url!r} is not an http:// or https:// URL with a host")
+        try:
+            parts.port  # getaddrinfo takes a port past 65535 modulo 65536
+        except ValueError as exc:
+            raise BackendError(f"base URL {url!r} has no valid port: {exc}")
         self.base_url = url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
         self.model = model or os.environ.get(ENV_MODEL, "")
@@ -477,32 +483,59 @@ def generate_all(
     """Send every request of every group with at most ``in_flight`` outstanding.
 
     Returns, per group and in the order given, each request's record or the
-    ``BackendError`` it raised. A mock backend's script is positional, so its
-    requests go out one at a time, in order. A read-only replay store only
-    looks each request up in memory, so it is answered in line too: a thread
-    pool would only add hand-offs. A recording store and ``http:`` use the pool.
-    The backend is closed on the way out, whatever happened.
+    ``BackendError`` it raised. The caller's thread is one of the workers:
+    it and ``min(in_flight, requests) - 1`` helper threads each take the next
+    request in order and write its result in its place. A mock backend's
+    script is positional and a read-only replay store only looks each request
+    up in memory, so both get no helper and are answered in line, in order.
+    Any other exception (``AuthError``, a bug, an interrupt), or a helper that
+    cannot start, stops every worker before its next request; every helper
+    started is joined and the first such exception is raised. The backend is
+    closed on the way out, whatever happened.
     """
     if not 1 <= in_flight <= MAX_IN_FLIGHT:
         raise ValueError(f"in_flight must be in [1, {MAX_IN_FLIGHT}]")
 
-    def send(request: GenerationRequest) -> GenerationRecord | BackendError:
-        try:
-            return backend.generate(request)
-        except BackendError as exc:
-            return exc
-
     requests = [request for group in groups for request in group]
+    results: list = [None] * len(requests)
+    pending = enumerate(requests)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def drain() -> None:
+        while True:
+            with lock:
+                item = None if failures else next(pending, None)
+            if item is None:
+                return
+            index, request = item
+            try:
+                results[index] = backend.generate(request)
+            except BackendError as exc:
+                results[index] = exc
+            except BaseException as exc:  # raised in the caller once every helper is joined
+                failures.append(exc)
+                return
+
     in_line = isinstance(backend, MockBackend) or (isinstance(backend, ReplayBackend) and backend._inner is None)
+    helpers: list[threading.Thread] = []
     try:
-        if in_flight == 1 or len(requests) <= 1 or in_line:
-            results = iter([send(request) for request in requests])
-        else:
-            with ThreadPoolExecutor(max_workers=min(in_flight, len(requests))) as pool:
-                results = iter(list(pool.map(send, requests)))
+        try:
+            for _ in range(0 if in_line else min(in_flight, len(requests)) - 1):
+                helper = threading.Thread(target=drain)
+                helper.start()
+                helpers.append(helper)
+            drain()
+        except BaseException as exc:  # a helper that cannot start, or an interrupt outside generate
+            failures.append(exc)
+        for helper in helpers:
+            helper.join()
     finally:
         backend.close()
-    return [[next(results) for _ in group] for group in groups]
+    if failures:
+        raise failures[0]
+    ordered = iter(results)
+    return [[next(ordered) for _ in group] for group in groups]
 
 
 def split_backend_spec(spec: str) -> tuple[str, str]:

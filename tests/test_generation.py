@@ -2,12 +2,12 @@ import base64
 import json
 import logging
 import os
+import random
 import socket
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -463,13 +463,15 @@ def _run_set_up(tmp_path, code: str) -> str:
 
 def test_setup_imports_no_http_client(tmp_path):
     """Building a backend leaves the HTTP stack unimported, so set-up does not pay for it,
-    and the store keys by the request itself: set-up loads no hash library before the CLI does."""
+    the store keys by the request itself: set-up loads no hash library before the CLI does,
+    and dispatch needs no executor, before the CLI or after it."""
     code = (
-        "print('hashlib' in sys.modules)\n"
+        "print('hashlib' in sys.modules, 'concurrent.futures' in sys.modules)\n"
         "import arground.cli\n"
-        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'requests') if m in sys.modules))\n"
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'requests', 'concurrent.futures')\n"
+        "             if m in sys.modules))\n"
     )
-    assert _run_set_up(tmp_path, code).splitlines() == ["False", "[]"]
+    assert _run_set_up(tmp_path, code).splitlines() == ["False False", "[]"]
 
 
 def test_setup_imports_only_the_modules_it_runs(tmp_path):
@@ -517,6 +519,18 @@ def test_fill_refuses_a_base_url_that_is_not_http_before_any_request(base_url, t
     monkeypatch.setenv("ARGROUND_BASE_URL", base_url)
     assert main(argv) == EXIT_BACKEND
     assert f"base URL {base_url!r} is not an http:// or https:// URL with a host" in capsys.readouterr().err
+    assert sent == [] and not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("base_url", ["http://127.0.0.1:99999/v1", "http://127.0.0.1:x/v1", "http://127.0.0.1:-1/v1"])
+def test_fill_refuses_a_base_url_without_a_valid_port_before_any_request(base_url, tmp_path, monkeypatch, capsys):
+    sent = []
+    monkeypatch.setattr(HttpBackend, "_post", lambda self, payload: sent.append(payload))
+    argv = _http_argv("fill", 0, tmp_path, monkeypatch)
+    argv[argv.index("--backend") + 1] = "http:stub"
+    monkeypatch.setenv("ARGROUND_BASE_URL", base_url)
+    assert main(argv) == EXIT_BACKEND
+    assert f"base URL {base_url!r} has no valid port" in capsys.readouterr().err
     assert sent == [] and not (tmp_path / "out.jsonl").exists()
 
 
@@ -612,8 +626,8 @@ def test_record_stores_a_lone_surrogate_reply_that_replay_serves_as_http_did(fla
 class _Counting(GenerationBackend):
     """Echoes each request's tag and counts the calls inside ``generate``.
 
-    A request tagged ``fail`` raises ``BackendError``; a request's ``max_tokens``
-    is how many milliseconds it takes, so later requests can finish first.
+    A request whose tag starts with ``fail`` raises ``BackendError``; a request's
+    ``max_tokens`` is how many milliseconds it takes, so later requests can finish first.
     """
 
     backend_id = "counting"
@@ -629,7 +643,7 @@ class _Counting(GenerationBackend):
             self.peak = max(self.peak, len(self.outstanding))
         try:
             time.sleep(request.max_tokens / 1000)
-            if request.tag == "fail":
+            if request.tag.startswith("fail"):
                 raise BackendError("scripted failure")
             return GenerationRecord(request, (request.tag,), self.backend_id)
         finally:
@@ -685,17 +699,34 @@ def test_mock_backend_is_sent_one_request_at_a_time():
     assert backend.counter.peak == 1
 
 
+def _no_thread_starts(monkeypatch):
+    def start(thread):
+        raise AssertionError("this backend should be answered in line")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+def _count_thread_starts(monkeypatch, fail_at=None):
+    """Record each thread ``generate_all`` starts; start number ``fail_at`` (from 1) raises instead."""
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        if len(started) + 1 == fail_at:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+        started.append(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
 def test_a_read_only_replay_store_is_answered_without_a_thread_pool(tmp_path, monkeypatch):
     groups = [_tagged("a0", "a1"), [], _tagged("c0", "c1", "c2")]
     log = tmp_path / "log.jsonl"
     log.write_text(jsonl(asdict(GenerationRecord(r, (f"out {r.tag}",), "logged")) for group in groups for r in group),
                    encoding="utf-8")
     store = open_replay(log)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a replay store should be answered in line")
-
-    monkeypatch.setattr(generation, "ThreadPoolExecutor", no_pool)
+    _no_thread_starts(monkeypatch)
     results = generate_all(store, [*groups, _tagged("missing")], in_flight=4)
     assert [[r.outputs[0] for r in group] for group in results[:3]] == [
         ["out a0", "out a1"], [], ["out c0", "out c1", "out c2"]
@@ -703,19 +734,84 @@ def test_a_read_only_replay_store_is_answered_without_a_thread_pool(tmp_path, mo
     assert isinstance(results[3][0], ReplayMiss)
 
 
+def test_a_mock_backend_is_answered_without_a_thread(monkeypatch):
+    _no_thread_starts(monkeypatch)
+    results = generate_all(MockBackend(["x", "y", "z"]), [_tagged("a", "b"), [], _tagged("c", "d")], in_flight=4)
+    assert [r.outputs for r in results[0]] == [("x",), ("y",)] and results[1] == []
+    assert results[2][0].outputs == ("z",) and isinstance(results[2][1], BackendError)
+
+
 def test_a_recording_store_goes_through_the_thread_pool(tmp_path, monkeypatch):
-    pools = []
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return ThreadPoolExecutor(*args, **kwargs)
-
-    monkeypatch.setattr(generation, "ThreadPoolExecutor", counting_pool)
+    """The caller's thread is one of the three workers three requests get at in_flight=4."""
+    started = _count_thread_starts(monkeypatch)
     inner = _Counting()
     store = open_replay(tmp_path / "log.jsonl", inner)
     results = generate_all(store, [_tagged("a", "b", ms=30), _tagged("c", ms=30)], in_flight=4)
     assert [r.outputs for group in results for r in group] == [("a",), ("b",), ("c",)]
-    assert pools == [3] and inner.peak == 3
+    assert len(started) == 2 and inner.peak == 3
+
+
+class _Logging(_Counting):
+    """A ``_Counting`` backend that logs each request's tag as it arrives, raises
+    ``AuthError`` on a request tagged ``auth`` and records ``close()``."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent: list[str] = []
+        self.closed = False
+
+    def generate(self, request):
+        with self.lock:
+            self.sent.append(request.tag)
+        if request.tag == "auth":
+            raise AuthError("authentication failed (HTTP 401)")
+        return super().generate(request)
+
+    def close(self):
+        self.closed = True
+
+
+def test_dispatch_stops_at_the_first_exception_that_is_not_a_backend_error():
+    backend = _Logging()
+    groups = [_tagged("slow", ms=200), _tagged("auth"), _tagged(*(f"r{i}" for i in range(2, 10)))]
+    with pytest.raises(AuthError):
+        generate_all(backend, groups, in_flight=2)
+    assert sorted(backend.sent) == ["auth", "slow"] and backend.closed
+
+
+def test_a_helper_that_cannot_start_stops_and_joins_the_started_workers(monkeypatch):
+    threads = threading.active_count()
+    backend = _Logging()
+    started = _count_thread_starts(monkeypatch, fail_at=2)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        generate_all(backend, [_tagged(*(f"r{i}" for i in range(6)), ms=100)], in_flight=4)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert backend.sent in ([], ["r0"]) and backend.closed
+    assert threading.active_count() == threads
+
+
+def test_the_shared_request_iterator_hands_out_each_request_once_under_stress():
+    rng = random.Random(30)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert generate_all(_Logging(), [], in_flight=4) == []
+        assert generate_all(_Logging(), [[], []], in_flight=4) == [[], []]
+        for in_flight in range(1, 9):
+            tags = [f"fail{i}" if i % 7 == 0 else f"r{i}" for i in range(300)]
+            cuts = sorted(rng.choices(range(301), k=40))
+            groups = [[GenerationRequest(prompt=t, tag=t, max_tokens=rng.randint(1, 3)) for t in tags[a:b]]
+                      for a, b in zip([0, *cuts], [*cuts, 300])]
+            backend = _Logging()
+            results = generate_all(backend, groups, in_flight)
+            assert threading.active_count() == threads
+            assert sorted(backend.sent) == sorted(tags) and backend.peak <= in_flight
+            assert [["error" if isinstance(r, BackendError) else r.outputs[0] for r in group] for group in results] == [
+                ["error" if r.tag.startswith("fail") else r.tag for r in group] for group in groups
+            ]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_mock_rejection_sample_is_deterministic_at_the_default_in_flight(hair_catalog):
