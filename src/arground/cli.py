@@ -124,7 +124,7 @@ def _dump_jsonl(rows: Iterable[dict]) -> str:
 def _cmd_export_sft(args) -> dict[str, str]:
     catalog = load_schema_catalog(args.schemas)
     dialogues = load_dialogues(args.dialogues, catalog)
-    return {args.out: _dump_jsonl(map(vars, export_sft_dataset(dialogues, catalog)))}
+    return {args.out: _dump_jsonl(e._asdict() for e in export_sft_dataset(dialogues, catalog))}
 
 
 def _cmd_reject_sample(args) -> dict[str, str]:
@@ -140,8 +140,8 @@ def _cmd_reject_sample(args) -> dict[str, str]:
     )
     augmented, stats = rejection_sample(backend, dialogues, catalog, config)
     return {
-        args.out: _dump_jsonl(map(vars, augmented)),
-        f"{args.out}.stats.json": json.dumps(vars(stats), indent=2) + "\n",
+        args.out: _dump_jsonl(e._asdict() for e in augmented),
+        f"{args.out}.stats.json": json.dumps(stats._asdict(), indent=2) + "\n",
     }
 
 
@@ -286,10 +286,17 @@ _TEXT = _option_type(str, lambda text: not has_surrogate(text), "must encode as 
 _FRACTION = _option_type(float, lambda f: 0 < f < 1, "must be a number in (0, 1)")
 
 
-def build_parser() -> _Parser:
+_COMMANDS = ("export-sft", "reject-sample", "fill", "evaluate", "split", "report")
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser of every subcommand; when ``argv`` starts with one's name,
+    that subcommand's alone, which parses that ``argv`` alike and is quicker
+    to build."""
     parser = _Parser(prog="arground",
                      description="Grounding, scoring and data curation for LLM-based API argument filling.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
 
     def add_backend_flags(p, temperature_default):
         p.add_argument("--backend", required=True, help="http:<model> | mock:<script> | replay:<log> | record:<log>",
@@ -303,72 +310,80 @@ def build_parser() -> _Parser:
                        help=f"at most N backend requests outstanding, 1 <= N <= {MAX_IN_FLIGHT}; "
                             "mock and replay: backends are answered one at a time")
 
-    p = sub.add_parser("export-sft", help="emit gold prompt/completion training data")
-    p.add_argument("--dialogues", required=True)
-    p.add_argument("--schemas", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_sft, inputs=("dialogues", "schemas"))
+    if "export-sft" in commands:
+        p = sub.add_parser("export-sft", help="emit gold prompt/completion training data")
+        p.add_argument("--dialogues", required=True)
+        p.add_argument("--schemas", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_export_sft, inputs=("dialogues", "schemas"))
 
-    p = sub.add_parser("reject-sample", help="sample K candidates, keep positive-reward ones")
-    p.add_argument("--dialogues", required=True)
-    p.add_argument("--schemas", required=True)
-    add_backend_flags(p, temperature_default=0.8)
-    p.add_argument("--k", type=_POSITIVE, default=4)
-    p.add_argument("--strict", action="store_true", help="backend failures abort the run")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reject_sample, inputs=("dialogues", "schemas"))
+    if "reject-sample" in commands:
+        p = sub.add_parser("reject-sample", help="sample K candidates, keep positive-reward ones")
+        p.add_argument("--dialogues", required=True)
+        p.add_argument("--schemas", required=True)
+        add_backend_flags(p, temperature_default=0.8)
+        p.add_argument("--k", type=_POSITIVE, default=4)
+        p.add_argument("--strict", action="store_true", help="backend failures abort the run")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_reject_sample, inputs=("dialogues", "schemas"))
 
-    p = sub.add_parser("fill", help="predict argument maps for dialogues")
-    p.add_argument("--mode", choices=("default", "multistep"), default="default")
-    p.add_argument("--dialogues", required=True)
-    p.add_argument("--schemas", required=True)
-    add_backend_flags(p, temperature_default=0.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fill, inputs=("dialogues", "schemas"))
+    if "fill" in commands:
+        p = sub.add_parser("fill", help="predict argument maps for dialogues")
+        p.add_argument("--mode", choices=("default", "multistep"), default="default")
+        p.add_argument("--dialogues", required=True)
+        p.add_argument("--schemas", required=True)
+        add_backend_flags(p, temperature_default=0.0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_fill, inputs=("dialogues", "schemas"))
 
-    p = sub.add_parser("evaluate", help="score predictions and emit the metrics CSV")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--schemas", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dataset", type=_TEXT, default="")
-    p.add_argument("--split", type=_TEXT, default="")
-    p.add_argument("--backend-label", type=_TEXT, default="")
-    p.add_argument("--scored-out", default="", help="also write predictions with embedded breakdowns")
-    p.set_defaults(func=_cmd_evaluate, inputs=("pred", "gold", "schemas"))
+    if "evaluate" in commands:
+        p = sub.add_parser("evaluate", help="score predictions and emit the metrics CSV")
+        p.add_argument("--pred", required=True)
+        p.add_argument("--gold", required=True)
+        p.add_argument("--schemas", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--dataset", type=_TEXT, default="")
+        p.add_argument("--split", type=_TEXT, default="")
+        p.add_argument("--backend-label", type=_TEXT, default="")
+        p.add_argument("--scored-out", default="", help="also write predictions with embedded breakdowns")
+        p.set_defaults(func=_cmd_evaluate, inputs=("pred", "gold", "schemas"))
 
-    p = sub.add_parser("split", help="construct train/test splits")
-    split_sub = p.add_subparsers(dest="split_kind", required=True)
-    for kind in ("in-domain", "out-of-domain"):
-        sp = split_sub.add_parser(kind)
-        sp.add_argument("--dialogues", required=True)
-        sp.add_argument("--schemas", default="")
-        sp.add_argument("--out-train", required=True)
-        sp.add_argument("--out-test", required=True)
-        sp.add_argument("--manifest", default="")
-        if kind == "in-domain":
-            sp.add_argument("--fraction", type=_FRACTION, required=True)
-            sp.add_argument("--seed", type=int, required=True)
-            sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas"))
-        else:
-            sp.add_argument("--holdout", required=True, help="comma-separated domains", type=_option_type(
-                str, lambda h: h.replace(",", " ").strip() and not has_surrogate(h), "must name a domain, in UTF-8"))
-            sp.add_argument("--synonyms", default="", help="JSON file mapping domain -> synonym")
-            sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas", "synonyms"))
+    if "split" in commands:
+        p = sub.add_parser("split", help="construct train/test splits")
+        split_sub = p.add_subparsers(dest="split_kind", required=True)
+        for kind in ("in-domain", "out-of-domain"):
+            sp = split_sub.add_parser(kind)
+            sp.add_argument("--dialogues", required=True)
+            sp.add_argument("--schemas", default="")
+            sp.add_argument("--out-train", required=True)
+            sp.add_argument("--out-test", required=True)
+            sp.add_argument("--manifest", default="")
+            if kind == "in-domain":
+                sp.add_argument("--fraction", type=_FRACTION, required=True)
+                sp.add_argument("--seed", type=int, required=True)
+                sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas"))
+            else:
+                sp.add_argument("--holdout", required=True, help="comma-separated domains", type=_option_type(
+                    str, lambda h: h.replace(",", " ").strip() and not has_surrogate(h),
+                    "must name a domain, in UTF-8"))
+                sp.add_argument("--synonyms", default="", help="JSON file mapping domain -> synonym")
+                sp.set_defaults(func=_cmd_split, inputs=("dialogues", "schemas", "synonyms"))
 
-    p = sub.add_parser("report", help="emit the per-group error-rate panel CSV")
-    p.add_argument("--breakdowns", required=True, help="scored predictions JSONL")
-    p.add_argument("--group-by", choices=("model", "split"), required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report, inputs=("breakdowns",))
+    if "report" in commands:
+        p = sub.add_parser("report", help="emit the per-group error-rate panel CSV")
+        p.add_argument("--breakdowns", required=True, help="scored predictions JSONL")
+        p.add_argument("--group-by", choices=("model", "split"), required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_report, inputs=("breakdowns",))
 
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         _write_run(args, args.func(args))
         return EXIT_OK
     except (ArgroundError, OSError, UnicodeDecodeError) as exc:  # an unreadable input file is a data error

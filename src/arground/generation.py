@@ -22,13 +22,20 @@ empty (a log that cannot be written fails before any request), and a miss
 calls the backend and appends the record under a lock. Concurrent misses on
 one request all get the record stored first, so a record run returns exactly
 what a later replay of its log returns, and rerunning a crashed ``fill`` or
-``reject-sample`` on its log resumes it without repeating a call.
+``reject-sample`` on its log resumes it, repeating only a call whose append
+the crash cut off: such a last line, without its newline, is dropped when
+the log is opened.
 
-A request is its own key: its equality and hash cover every field but the
-tag, a label the model never sees, so replay matches requests by content,
-not by sequence number, and tolerates reordering under concurrency.
-A log line is the record's fields as JSON with ASCII escapes, so a reply
-holding a lone surrogate, which has no UTF-8 form, is stored like any other.
+``GenerationRequest`` and ``GenerationRecord`` each subclass a
+``collections.namedtuple``, so that their constructors can check or coerce
+the fields (``_make`` and ``_replace`` skip them): a record iterates over its
+fields and compares equal to the tuple of them. A request is its own key: its equality and hash cover every
+field but the tag, a label the model never sees, so replay matches requests
+by content, not by sequence number, and tolerates reordering under
+concurrency; it equals no plain tuple.
+A log line is ``record_to_obj(record)`` as JSON with ASCII escapes, so a
+reply holding a lone surrogate, which has no UTF-8 form, is stored like any
+other; it is appended, newline included, in one write.
 
 ``generate_all`` is the only dispatch path: every command hands it all of
 its requests at once and gets back, in the order given, each request's
@@ -46,7 +53,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
@@ -68,39 +75,44 @@ ENV_BASE_URL = "ARGROUND_BASE_URL"
 ENV_MODEL = "ARGROUND_MODEL"
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
-    prompt: str
-    temperature: float = 0.0
-    max_tokens: int = 256
-    n_samples: int = 1
-    stop_sequences: tuple[str, ...] = ()
-    tag: str = field(default="", compare=False)  # a label, outside the payload, equality and hash
+class GenerationRequest(namedtuple("GenerationRequest", "prompt temperature max_tokens n_samples stop_sequences tag")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
-        if self.n_samples < 1:
+    def __new__(cls, prompt: str, temperature: float = 0.0, max_tokens: int = 256, n_samples: int = 1,
+                stop_sequences: tuple[str, ...] = (), tag: str = ""):  # tag: a label, outside the payload
+        if not 0 <= temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
+        if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.max_tokens < 1:
+        if max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+        return super().__new__(cls, prompt, temperature, max_tokens, n_samples, tuple(stop_sequences), tag)
+
+    def __eq__(self, other):  # every field but the tag, as the hash
+        return isinstance(other, GenerationRequest) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    request: GenerationRequest
-    outputs: tuple[str, ...]
-    backend_id: str
-    timestamp: float = 0.0
-    latency: float = 0.0
+class GenerationRecord(namedtuple("GenerationRecord", "request outputs backend_id timestamp latency")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+    def __new__(cls, request: GenerationRequest, outputs: tuple[str, ...], backend_id: str,
+                timestamp: float = 0.0, latency: float = 0.0):
+        return super().__new__(cls, request, tuple(outputs), backend_id, timestamp, latency)
+
+
+def record_to_obj(record: GenerationRecord) -> dict:
+    """The record as a JSON object, a log line's content; ``record_from_obj`` reads it back."""
+    return {**record._asdict(), "request": record.request._asdict()}
 
 
 def record_from_obj(obj: dict) -> GenerationRecord:
-    """Inverse of ``asdict(record)``; raises TypeError, ValueError or
+    """Inverse of ``record_to_obj``; raises TypeError, ValueError or
     OverflowError on a record that ``ReplayBackend`` could not have written."""
     req, outputs = obj["request"], obj["outputs"]
     max_tokens, n_samples, temperature = req["max_tokens"], req["n_samples"], req["temperature"]
@@ -428,13 +440,17 @@ class ReplayBackend(GenerationBackend):
             if self._inner is None:
                 raise ReplayMiss(f"no recorded response for request (tag={request.tag!r})")
             record = self._inner.generate(request)
-            line = json.dumps(asdict(record))
+            line = (json.dumps(record_to_obj(record)) + "\n").encode("ascii")
             with self._lock:
                 outputs = self._index.get(request)
                 if outputs is None:  # a racing duplicate keeps the first record
                     outputs = self._index[request] = record.outputs
-                    with open(self._path, "a", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
+                    fd = os.open(self._path, os.O_WRONLY | os.O_APPEND)
+                    try:
+                        if os.write(fd, line) != len(line):  # the next open drops the torn line
+                            raise OSError(f"short write to record log {self._path}")
+                    finally:
+                        os.close(fd)
         if len(outputs) < request.n_samples:
             raise ReplayMiss(
                 f"recorded response for request (tag={request.tag!r}) has {len(outputs)} outputs, "
@@ -457,16 +473,21 @@ def open_replay(path, inner: GenerationBackend | None = None) -> ReplayBackend:
     With ``inner``, only records made by ``inner.backend_id`` are indexed,
     and the log is first opened for append (a missing one is created empty),
     so a log that cannot be written raises ``OSError`` before any request.
+    Each record is appended with its newline in one write, so a last line
+    without one is an append that did not finish: with ``inner`` the log is
+    truncated before it, with a warning, and its request is sent again.
     """
     index: dict[GenerationRequest, tuple[str, ...]] = {}
     if inner is not None:
-        with open(path, "a", encoding="utf-8"):
-            pass
+        os.close(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
     offset = 0
     with open(path, "rb") as handle:
         for raw_line in handle:
             line = raw_line.strip()
-            if line:
+            if line and inner is not None and not raw_line.endswith(b"\n"):
+                logger.warning("record log %s: dropping the unfinished last line at byte offset %d", path, offset)
+                os.truncate(path, offset)
+            elif line:
                 try:
                     record = record_from_obj(json.loads(line.decode("utf-8")))
                 except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:

@@ -22,8 +22,7 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AlignmentError, ArgroundError, EmptyCorpus, InvalidBreakdown
 from .fuzzy import char_overlap
@@ -34,8 +33,7 @@ from .schema import ArgumentMap
 Pair = tuple[ArgumentMap, ArgumentMap]  # (pred, gold)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Corpus metrics, in the column order of the metrics CSV."""
 
     bleu: float
@@ -176,7 +174,7 @@ def evaluate_corpus(pairs: Sequence[Pair], breakdowns: Sequence[ErrorBreakdown])
     )
 
 
-METRICS_CSV_COLUMNS = ("dataset", "split", "backend", *(f.name for f in fields(MetricsReport)))
+METRICS_CSV_COLUMNS = ("dataset", "split", "backend", *MetricsReport._fields)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -189,7 +187,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def metrics_report_csv(report: MetricsReport, dataset: str, split: str, backend: str) -> str:
     """One-row CSV artifact for a report (header + data row)."""
-    return _csv_text(METRICS_CSV_COLUMNS, [[dataset, split, backend, *astuple(report)]])
+    return _csv_text(METRICS_CSV_COLUMNS, [[dataset, split, backend, *report]])
 
 
 def emit_error_panel(rows: Iterable[tuple[str, dict]], group_by: str) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedArguments, NoArgumentObject
 from .schema import ArgumentMap, canonicalize_key, canonicalize_value, has_surrogate
@@ -65,8 +65,7 @@ _ESCAPES = {
 }
 
 
-@dataclass(frozen=True)
-class ParseOutcome:
+class ParseOutcome(NamedTuple):
     """Parsed argument map plus the list of repairs applied (each once)."""
 
     map: ArgumentMap

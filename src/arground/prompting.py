@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BackendError, EmptySlotResponse
 from .generation import GenerationRecord, GenerationRequest
@@ -50,8 +50,7 @@ TEMPLATES = {
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
-@dataclass(frozen=True)
-class Prompt:
+class Prompt(NamedTuple):
     """A rendered prompt. Callers read ``.text``; ``bench/corpus.py`` does too,
     which is why the builders do not return the bare string yet."""
 

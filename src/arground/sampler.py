@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BackendError, MalformedArguments, NoArgumentObject
 from .generation import GenerationBackend, generate_all
@@ -24,8 +24,7 @@ from .scoring import classify_errors
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TrainingExample:
+class TrainingExample(NamedTuple):
     prompt: str
     completion: str
     source: str  # "gold" or "sampled"
@@ -33,8 +32,7 @@ class TrainingExample:
     dialogue_id: str
 
 
-@dataclass
-class SamplerStats:
+class SamplerStats(NamedTuple):
     generated: int = 0
     parse_failed: int = 0
     rejected: int = 0
@@ -44,8 +42,7 @@ class SamplerStats:
     mean_kept_reward: float = 0.0
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(NamedTuple):
     k: int = 4
     temperature: float = 0.8
     max_tokens: int = 256
@@ -91,7 +88,6 @@ def rejection_sample(
     follows input dialogue order regardless of the in-flight bound: per
     dialogue the gold example first, then kept samples in generation order.
     """
-    stats = SamplerStats()
     golds, groups = [], []
     for dialogue in dialogues:
         schema = catalog[dialogue.target_api]
@@ -101,23 +97,23 @@ def rejection_sample(
     records = generate_all(backend, groups, config.in_flight)
 
     augmented: list[TrainingExample] = []
+    generated = parse_failed = rejected = deduplicated = skipped_dialogues = 0
     for dialogue, gold, (record,) in zip(dialogues, golds, records):
         augmented.append(gold)
         if isinstance(record, BackendError):
             if config.strict:
                 raise record
             logger.warning("skipping dialogue '%s': %s", dialogue.id, record)
-            stats.skipped_dialogues += 1
+            skipped_dialogues += 1
             continue
         schema = catalog[dialogue.target_api]
-        kept: list[TrainingExample] = []
         rewards: dict[tuple[tuple[str, str], ...], float] = {}  # by the map's sorted items
+        generated += len(record.outputs)
         for output in record.outputs:
-            stats.generated += 1
             try:
                 candidate = extract_argument_map(output).map
             except (NoArgumentObject, MalformedArguments):
-                stats.parse_failed += 1
+                parse_failed += 1
                 continue
             dedup_key = tuple(sorted(candidate.items()))
             repeat = dedup_key in rewards
@@ -125,12 +121,12 @@ def rejection_sample(
                 rewards[dedup_key] = classify_errors(candidate, dialogue.gold_arguments, schema).reward
             reward = rewards[dedup_key]
             if reward <= 0.0:
-                stats.rejected += 1
+                rejected += 1
                 continue
             if repeat:
-                stats.deduplicated += 1
+                deduplicated += 1
                 continue
-            kept.append(
+            augmented.append(
                 TrainingExample(
                     prompt=record.request.prompt,
                     completion=serialize_argument_map(candidate, "given"),
@@ -139,9 +135,8 @@ def rejection_sample(
                     dialogue_id=dialogue.id,
                 )
             )
-        stats.kept += len(kept)
-        augmented.extend(kept)
+    kept_rewards = [e.reward for e in augmented if e.source == "sampled"]
+    kept = len(kept_rewards)
     # fsum is correctly rounded on every Python; sum() of floats is compensated from 3.12 on only
-    kept_rewards = (e.reward for e in augmented if e.source == "sampled")
-    stats.mean_kept_reward = math.fsum(kept_rewards) / stats.kept if stats.kept else 0.0
-    return augmented, stats
+    return augmented, SamplerStats(generated, parse_failed, rejected, deduplicated, kept, skipped_dialogues,
+                                   math.fsum(kept_rewards) / kept if kept else 0.0)

@@ -1,6 +1,11 @@
 """API schema, dialogue, and argument-map data model.
 
-Every record is immutable and its constructor trusts its fields. An argument
+Every record is immutable and its constructor trusts its fields. Each is a
+named tuple: ``SlotSpec``, ``DialogueTurn`` and ``Dialogue`` are
+``typing.NamedTuple``s, and ``ApiSchema`` subclasses a
+``collections.namedtuple`` so that its constructor can add ``by_name``. So a
+record compares equal to the tuple of its fields, iterates over them, and
+``_asdict()`` maps their names to them. An argument
 map is a plain ``dict`` that no code changes once it is built. Each record
 kind is checked and canonicalized once, where it enters the program, so
 downstream comparisons (key alignment, value matching) never have to worry
@@ -41,9 +46,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DatasetInvalid, InvalidArgumentMap, ParseError, SchemaInvalid
 from .fuzzy import values_match
@@ -150,8 +155,7 @@ def value_conforms_to_slot(slot: SlotSpec, value: str) -> bool:
 
 # --- domain types -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlotSpec:
+class SlotSpec(NamedTuple):
     """One named argument of an API: its kind and, for categoricals, the
     allowed values (stored canonicalized)."""
 
@@ -162,20 +166,24 @@ class SlotSpec:
     required: bool = True
 
 
-@dataclass(frozen=True)
-class ApiSchema:
+class ApiSchema(namedtuple("ApiSchema", "api_name description slots by_name")):
     """The pre-defined contract of one API: name, description, ordered slots.
 
-    ``by_name`` indexes the slots by name; it is built with the schema and
-    must not be changed."""
+    ``by_name`` indexes the slots by name and must not be changed. The
+    constructor builds it from ``slots``, so it decides no comparison, and
+    the hash leaves it out. ``_make`` and ``_replace`` skip the constructor
+    and keep the old index: build a changed schema with the constructor."""
 
-    api_name: str
-    description: str = ""
-    slots: tuple[SlotSpec, ...] = ()
-    by_name: dict[str, SlotSpec] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "by_name", {s.name: s for s in self.slots})
+    def __new__(cls, api_name: str, description: str = "", slots: tuple[SlotSpec, ...] = ()):
+        return super().__new__(cls, api_name, description, slots, {s.name: s for s in slots})
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __getnewargs__(self):  # what copy and pickle pass to __new__
+        return self[:3]
 
     def slot_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
@@ -213,19 +221,17 @@ def argument_map_from_obj(mapping) -> ArgumentMap:
     return entries
 
 
-@dataclass(frozen=True)
-class DialogueTurn:
+class DialogueTurn(NamedTuple):
     speaker: str
     utterance: str
 
 
-@dataclass(frozen=True)
-class Dialogue:
+class Dialogue(NamedTuple):
     id: str
     domain: str
     target_api: str
     turns: tuple[DialogueTurn, ...]
-    gold_arguments: ArgumentMap = field(default_factory=dict)
+    gold_arguments: ArgumentMap = {}  # shared, as every argument map is never changed
 
 
 # --- input files: one JSON reader, one JSONL reader --------------------------

@@ -16,7 +16,7 @@ the reward is 1 for an empty prediction and -1 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidBreakdown
 from .fuzzy import values_match
@@ -33,8 +33,7 @@ VERDICT_HV = "HV"
 MAX_COUNT = 2**53
 
 
-@dataclass(frozen=True)
-class ErrorBreakdown:
+class ErrorBreakdown(NamedTuple):
     """Per-sample error counts, gold size, and the resulting reward."""
 
     n_nk: int
@@ -43,7 +42,7 @@ class ErrorBreakdown:
     n_hv: int
     n_total: int
     reward: float
-    per_slot_verdicts: tuple[tuple[str, str], ...] = field(default=())
+    per_slot_verdicts: tuple[tuple[str, str], ...] = ()
 
     @property
     def n_error(self) -> int:

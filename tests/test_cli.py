@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,8 @@ import pytest
 import arground
 from arground import cli
 from arground.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, emit_error_panel, main
-from arground.generation import GenerationBackend, GenerationRecord, MockBackend
+from arground.errors import UsageError
+from arground.generation import GenerationBackend, GenerationRecord, MockBackend, record_to_obj
 from arground.metrics import evaluate_corpus
 from arground.prompting import default_request, template_hashes
 from arground.schema import (
@@ -434,6 +434,27 @@ def test_help_exits_0_with_a_one_line_description(capsys):
     out = capsys.readouterr().out
     assert out.startswith("usage: arground ")
     assert "_write_run" not in out and "config_hash" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["fil", "--help"], ["fill"], ["fill", "--bogus"], ["split"], ["split", "bogus"],
+    ["split", "in-domain", "--help"], *([command, "--help"] for command in cli._COMMANDS),
+    *(SUBCOMMANDS[name](Path("d"))[0] for name in sorted(SUBCOMMANDS)),
+], ids=lambda argv: " ".join(argv[:3]))
+def test_a_parser_built_for_its_argv_parses_it_as_the_full_parser_does(argv, capsys):
+    """Help, errors and the parsed options, which make the config hash, are the same."""
+    def parse(parser):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        except UsageError as exc:
+            outcome = ("usage error", str(exc))
+        return outcome, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+    commands = cli.build_parser(argv)._subparsers._group_actions[0].choices
+    assert list(commands) == (argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS))
 
 
 @pytest.mark.parametrize("in_flight", ["0", "-2"])
@@ -883,7 +904,7 @@ def _replay_log_without(d, hair_catalog, missing):
             continue
         answer = json.dumps(dialogue.gold_arguments)
         for request in (default_request(schema, dialogue, 2, 0.8, 256), default_request(schema, dialogue, 1, 0.0, 256)):
-            records.append(asdict(GenerationRecord(request, [answer] * request.n_samples, "logged")))
+            records.append(record_to_obj(GenerationRecord(request, [answer] * request.n_samples, "logged")))
     _write_jsonl(d / "log.jsonl", records)
     return f"replay:{d / 'log.jsonl'}"
 
@@ -1030,9 +1051,9 @@ def _pinned_inputs(tmp_path) -> list[str]:
     records = []
     for d, outputs in zip(load_dialogues(tmp_path / "dialogues.jsonl", catalog), _PINNED_OUTPUTS.values()):
         schema = catalog[d.target_api]
-        records.append(asdict(GenerationRecord(default_request(schema, d, 4, 0.8, 256), outputs, "logged")))
+        records.append(record_to_obj(GenerationRecord(default_request(schema, d, 4, 0.8, 256), outputs, "logged")))
         fill_output = (outputs[_PINNED_FILL_OUTPUT[d.id]],)
-        records.append(asdict(GenerationRecord(default_request(schema, d, 1, 0.0, 256), fill_output, "logged")))
+        records.append(record_to_obj(GenerationRecord(default_request(schema, d, 1, 0.0, 256), fill_output, "logged")))
     _write_jsonl(tmp_path / "log.jsonl", records)
     return ["--dialogues", str(tmp_path / "dialogues.jsonl"), "--schemas", str(tmp_path / "catalog.json")]
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from arground.generation import (
     backend_from_spec,
     generate_all,
     open_replay,
+    record_to_obj,
 )
 from arground.sampler import SamplerConfig, rejection_sample
 from arground.schema import dialogue_to_obj
@@ -443,10 +443,12 @@ def _run_set_up(tmp_path, code: str) -> str:
     dialogue = make_dialogue("d1", "salon", "hair_appointment", {"name": "john"})
     (tmp_path / "dialogues.jsonl").write_text(jsonl([dialogue_to_obj(dialogue)]), encoding="utf-8")
     log = tmp_path / "log.jsonl"
-    log.write_text(jsonl([asdict(GenerationRecord(GenerationRequest("p"), ("o",), "replay"))]),
+    log.write_text(jsonl([record_to_obj(GenerationRecord(GenerationRequest("p"), ("o",), "replay"))]),
                    encoding="utf-8")
     set_up = (
-        "import sys, arground\n"
+        "import sys\n"
+        "at_start = set(sys.modules)\n"
+        "import arground\n"
         "from arground.generation import backend_from_spec\n"
         f"catalog = arground.load_schema_catalog({str(tmp_path / 'catalog.json')!r})\n"
         f"arground.load_dialogues({str(tmp_path / 'dialogues.jsonl')!r}, catalog)\n"
@@ -472,6 +474,31 @@ def test_setup_imports_no_http_client(tmp_path):
         "             if m in sys.modules))\n"
     )
     assert _run_set_up(tmp_path, code).splitlines() == ["False False", "[]"]
+
+
+_RECORD_LIBRARIES = "('dataclasses', 'inspect')"  # inspect is what dataclasses costs most to import
+
+
+def test_setup_and_the_cli_import_no_dataclasses_or_inspect(tmp_path):
+    """The records are named tuples, so neither set-up nor the CLI it leads to pays for dataclasses."""
+    code = (
+        f"print(sorted(m for m in {_RECORD_LIBRARIES} if m in set(sys.modules) - at_start))\n"
+        "import arground.cli\n"
+        f"print(sorted(m for m in {_RECORD_LIBRARIES} if m in set(sys.modules) - at_start))\n"
+    )
+    assert _run_set_up(tmp_path, code).splitlines() == ["[]", "[]"]
+
+
+def test_importing_the_cli_imports_no_dataclasses_or_inspect():
+    code = (
+        "import sys\n"
+        "at_start = set(sys.modules)\n"
+        "import arground.cli\n"
+        f"print(sorted(m for m in {_RECORD_LIBRARIES} if m in set(sys.modules) - at_start))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(arground.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr
 
 
 def test_setup_imports_only_the_modules_it_runs(tmp_path):
@@ -723,8 +750,8 @@ def _count_thread_starts(monkeypatch, fail_at=None):
 def test_a_read_only_replay_store_is_answered_without_a_thread_pool(tmp_path, monkeypatch):
     groups = [_tagged("a0", "a1"), [], _tagged("c0", "c1", "c2")]
     log = tmp_path / "log.jsonl"
-    log.write_text(jsonl(asdict(GenerationRecord(r, (f"out {r.tag}",), "logged")) for group in groups for r in group),
-                   encoding="utf-8")
+    log.write_text(jsonl(record_to_obj(GenerationRecord(r, (f"out {r.tag}",), "logged"))
+                         for group in groups for r in group), encoding="utf-8")
     store = open_replay(log)
     _no_thread_starts(monkeypatch)
     results = generate_all(store, [*groups, _tagged("missing")], in_flight=4)

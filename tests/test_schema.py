@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import string
@@ -14,7 +15,15 @@ from arground.errors import (
     ParseError,
     SchemaInvalid,
 )
+from arground.generation import GenerationRecord, GenerationRequest
+from arground.metrics import MetricsReport
+from arground.parsing import ParseOutcome
+from arground.prompting import Prompt
+from arground.sampler import SamplerConfig, SamplerStats, TrainingExample
 from arground.schema import (
+    ApiSchema,
+    Dialogue,
+    DialogueTurn,
     SlotSpec,
     argument_map_from_obj,
     canonicalize_key,
@@ -24,6 +33,7 @@ from arground.schema import (
     load_schema_catalog,
     value_conforms_to_slot,
 )
+from arground.scoring import ErrorBreakdown
 
 from conftest import jsonl
 from oracle import ref_canonicalize_key, ref_canonicalize_value
@@ -336,3 +346,31 @@ class TestDialogues:
                                  turns=[{"speaker": " User", "utterance": " hi  there "}])
         assert (dialogue.id, dialogue.domain, dialogue.target_api) == ("d", "hair salon", "hair_appointment")
         assert (dialogue.turns[0].speaker, dialogue.turns[0].utterance) == ("user", "hi  there")
+
+
+# --- the records -------------------------------------------------------------
+
+_SLOT = SlotSpec("name", "free-text")
+_TURN = DialogueTurn("user", "hi")
+_REQUEST = GenerationRequest("p")
+_RECORDS = [
+    _SLOT, ApiSchema("api", "", (_SLOT,)), _TURN, Dialogue("d", "salon", "api", (_TURN,)), ParseOutcome({}),
+    ErrorBreakdown(0, 0, 0, 0, 0, 1.0), TrainingExample("p", "{}", "gold", 1.0, "d"), SamplerConfig(),
+    SamplerStats(), MetricsReport(*[0.0] * 7, 1, 0.0), Prompt("p"), _REQUEST, GenerationRecord(_REQUEST, ["o"], "m"),
+]
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda record: type(record).__name__)
+def test_no_attribute_of_a_record_can_be_assigned(record):
+    for name in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_a_schema_indexes_its_slots_and_hashes_by_its_fields():
+    jess = SlotSpec("stylist", "categorical", allowed_values=("jess",))
+    schema = ApiSchema("hair", "book", (_SLOT, jess))
+    assert schema.by_name == {"name": _SLOT, "stylist": jess}
+    assert schema == ApiSchema("hair", "book", (_SLOT, jess)) and hash(schema) == hash(("hair", "book", (_SLOT, jess)))
+    assert schema != ApiSchema("hair", "book", (jess, _SLOT))
+    assert copy.deepcopy(schema) == schema and copy.deepcopy(schema).by_name == schema.by_name

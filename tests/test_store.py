@@ -1,15 +1,25 @@
 """The response store: ``open_replay`` with and without a recording backend."""
 
 import json
+import logging
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from arground import generation
 from arground.cli import EXIT_BACKEND, EXIT_OK, main
 from arground.errors import BackendError, LogCorrupt, ReplayMiss
-from arground.generation import GenerationRequest, MockBackend, open_replay
+from arground.generation import (
+    GenerationBackend,
+    GenerationRecord,
+    GenerationRequest,
+    MockBackend,
+    open_replay,
+    record_from_obj,
+    record_to_obj,
+)
 from arground.sampler import SamplerConfig, rejection_sample
 from arground.schema import dialogue_to_obj
 
@@ -82,6 +92,37 @@ def test_a_different_stop_misses(tmp_path):
     assert replay.generate(_request(stop=())).outputs == (OUTPUTS[0],)
     with pytest.raises(ReplayMiss):
         replay.generate(_request(stop=("\n",)))
+
+
+# --- the records a log line holds ------------------------------------------------
+
+_RECORDS = [
+    GenerationRecord(GenerationRequest("p"), ("o",), "mock"),
+    GenerationRecord(GenerationRequest("q \ud800 \u00e9", 0.8, 64, 2, ["\n", "END"], "d1:time"), ["a", "b \udcff"],
+                     "http:m", timestamp=1.5e9, latency=0.25),
+]
+
+
+@pytest.mark.parametrize("record", _RECORDS)
+def test_a_record_reads_back_from_its_log_line(record):
+    back = record_from_obj(json.loads(json.dumps(record_to_obj(record))))
+    assert back == record and back.request.tag == record.request.tag
+    assert (type(back.outputs), type(back.request.stop_sequences)) == (tuple, tuple)
+
+
+def test_a_log_line_is_a_json_object_of_the_record_fields_in_order():
+    assert json.dumps(record_to_obj(_RECORDS[0])) == (
+        '{"request": {"prompt": "p", "temperature": 0.0, "max_tokens": 256, "n_samples": 1, '
+        '"stop_sequences": [], "tag": ""}, "outputs": ["o"], "backend_id": "mock", "timestamp": 0.0, "latency": 0.0}'
+    )
+
+
+def test_a_request_equals_and_hashes_alike_whatever_its_tag():
+    a, b = GenerationRequest("p", tag="a"), GenerationRequest("p", tag="b")
+    assert a == b and not a != b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != GenerationRequest("p", max_tokens=8) and not a == GenerationRequest("p", max_tokens=8)
+    assert a != tuple(a) and a != tuple(a)[:5]  # a request equals no plain tuple
+    assert GenerationRecord(a, ["o"], "m") == GenerationRecord(b, ("o",), "m")
 
 
 def _log_entry(outputs, record_fields=(), **request_fields):
@@ -317,3 +358,54 @@ def test_cli_reject_sample_on_a_recorded_log_matches_the_live_run(hair_catalog, 
     assert reject_sample(f"replay:{log}", "replayed.jsonl") == reject_sample(
         f"mock:{tmp_path / 'script.jsonl'}", "live.jsonl"
     )
+
+
+# --- a record log cut off in the middle of an append ------------------------------
+
+class _Live(GenerationBackend):
+    """Stands in for the live backend behind ``record:``; answers each dialogue's name and logs its tag."""
+
+    backend_id = "http:live"
+    calls: list[str] = []
+
+    def generate(self, request):
+        type(self).calls.append(request.tag)
+        return GenerationRecord(request, [f'{{"name": "{request.tag}"}}'] * request.n_samples, self.backend_id)
+
+
+def test_a_record_run_resumes_after_an_append_cut_at_any_byte(tmp_path, monkeypatch, caplog):
+    """However much of the last record's line a crash left, the line is dropped and its call made
+    once more: the rerun writes the same artifacts and leaves the log as a run that never crashed."""
+    monkeypatch.setattr(generation, "HttpBackend", _Live)
+    (tmp_path / "catalog.json").write_text(HAIR_CATALOG_JSON, encoding="utf-8")
+    (tmp_path / "dialogues.jsonl").write_text(jsonl(map(dialogue_to_obj, _dialogues())), encoding="utf-8")
+    log, out = tmp_path / "log.jsonl", tmp_path / "out.jsonl"
+    argv = ["fill", "--dialogues", str(tmp_path / "dialogues.jsonl"), "--schemas", str(tmp_path / "catalog.json"),
+            "--backend", f"record:{log}", "--in-flight", "1", "--out", str(out)]
+    _Live.calls = []
+    assert main(argv) == EXIT_OK
+    assert _Live.calls == ["d0", "d1", "d2"]
+    full, artifacts = log.read_bytes(), (out.read_bytes(), (tmp_path / "out.jsonl.meta.json").read_bytes())
+    last = full.rindex(b"\n", 0, len(full) - 1) + 1  # where the last record's line starts
+    for cut in range(last, len(full)):
+        log.write_bytes(full[:cut])
+        _Live.calls = []
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main(argv) == EXIT_OK, cut
+        assert (out.read_bytes(), (tmp_path / "out.jsonl.meta.json").read_bytes()) == artifacts, cut
+        assert (_Live.calls, log.read_bytes()) == (["d2"], full), cut
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ([] if cut == last else [
+            f"record log {log}: dropping the unfinished last line at byte offset {last}"]), cut
+
+
+@pytest.mark.parametrize("recording, newline", [(False, ""), (False, "\n"), (True, "\n")])
+def test_a_bad_last_line_is_log_corrupt_unless_recording_left_it_unfinished(recording, newline, tmp_path):
+    """Only ``record:`` drops a last line, and only one its newline never reached; read-only
+    replay refuses a torn log as it stands."""
+    log, good, torn = tmp_path / "log.jsonl", _log_entry(["x"]), _log_entry(["y"], prompt="q")[:-20]
+    log.write_text(good + torn + newline, encoding="utf-8")
+    with pytest.raises(LogCorrupt, match=rf"\(byte offset {len(good.encode())}\)$"):
+        open_replay(log, MockBackend([]) if recording else None)
+    assert log.read_text(encoding="utf-8") == good + torn + newline
